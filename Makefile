@@ -2,7 +2,7 @@ GO ?= go
 BENCHSTAT ?= $(GO) run golang.org/x/perf/cmd/benchstat@latest
 TRAJECTORY ?= bench/trajectory.json
 
-.PHONY: build test race lint bench bench-smoke bench-record bench-compare scenarios scenarios-smoke chaos
+.PHONY: build test race lint bench bench-smoke bench-record bench-compare scenarios scenarios-smoke chaos servebench-test
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,12 @@ chaos:
 		-run 'TestChaosEndToEnd|TestSentinelTornCheckpointRecovery|TestJournalFaultDegradesThenRecovers|TestDegradedCrashConvergence|TestCheckpointFailureCoolsDownAndSurfaces|TestTCPAcceptRetriesTransientErrors' \
 		./cmd/sentinel ./internal/fleet ./internal/ingest
 	$(GO) test -race -count=1 ./internal/chaos
+
+# servebench-test vets and tests the serving benchmark. servebench/ is a
+# module of its own, so the root build and test targets never compile it;
+# this catches an API change that would break the benchmark.
+servebench-test:
+	cd servebench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-compare diffs the committed seed and after trajectories with
 # benchstat (fetches benchstat on first use; needs network).

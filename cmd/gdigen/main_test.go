@@ -155,7 +155,7 @@ func TestRunStreamBinaryWire(t *testing.T) {
 		t.Fatalf("output does not start with the frame magic byte: % x", buf.Bytes()[:min(buf.Len(), 8)])
 	}
 	var col frameCollector
-	st, err := sensorguard.ReadIngestWire(&buf, &col, nil)
+	st, err := sensorguard.ReadIngestStream(&buf, &col, sensorguard.IngestStreamOptions{})
 	if err != nil {
 		t.Fatalf("frame stream undecodable: %v", err)
 	}

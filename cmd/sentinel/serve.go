@@ -41,7 +41,6 @@ type serveOptions struct {
 	tsdbResolution  time.Duration // historical metrics sampling interval
 	profileDir      string        // profile ring directory; empty disables capture
 	profileInterval time.Duration // periodic capture cadence; 0 = alert-triggered only
-	decodeWorkers   int           // binary frame decode pool size; 0 = one per core
 }
 
 // shutdownGrace bounds how long in-flight HTTP requests may run after a
@@ -67,9 +66,6 @@ func runServe(o serveOptions, stdin io.Reader, out, errOut io.Writer) error {
 		return err
 	}
 	log := logger(errOut)
-	if o.decodeWorkers > 0 {
-		sensorguard.SetIngestDecodeWorkers(o.decodeWorkers)
-	}
 	metrics := sensorguard.NewMetricsRegistry()
 	var tracer *sensorguard.Tracer
 	if o.traces > 0 {
@@ -170,9 +166,12 @@ func runServe(o serveOptions, stdin io.Reader, out, errOut io.Writer) error {
 		"url", "http://"+srv.Addr()+"/ingest",
 		"reports", "/report/{deployment}", "metrics", "/metrics", "dashboard", "/debug/dashboard")
 
+	// The TCP listener and the source stream inherit the pool's tracer and
+	// feed its ingest_decode stage clock, like POST /ingest does.
+	streamOpts := sensorguard.IngestStreamOptions{Tracer: pool.Tracer(), Decode: pool.DecodeClock()}
 	var tcpSrv *sensorguard.IngestTCPServer
 	if o.tcp != "" {
-		tcpSrv, err = sensorguard.ServeIngestTCPFor(o.tcp, pool)
+		tcpSrv, err = sensorguard.ServeIngestTCP(o.tcp, pool, streamOpts)
 		if err != nil {
 			srv.Close()
 			return err
@@ -205,7 +204,7 @@ func runServe(o serveOptions, stdin io.Reader, out, errOut io.Writer) error {
 		}
 		// The source stream negotiates its codec like the listeners: the
 		// first byte decides between NDJSON and binary frames.
-		st, err := sensorguard.ReadIngestWireFor(in, pool)
+		st, err := sensorguard.ReadIngestStream(in, pool, streamOpts)
 		if err != nil {
 			return err
 		}

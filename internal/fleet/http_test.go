@@ -153,7 +153,7 @@ func TestTCPIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ingest.ServeTCP("127.0.0.1:0", pool)
+	srv, err := ingest.ServeTCPStaged("127.0.0.1:0", pool, ingest.DefaultTCPIdleTimeout, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,39 +31,21 @@ type BatchConsumer interface {
 }
 
 var (
-	decodeMu       sync.Mutex
 	decodeOnce     sync.Once
-	decodeSetting  int // 0 ⇒ GOMAXPROCS at start
-	decodeStarted  int
 	decodeJobQueue chan decodeJob
 )
 
-// SetDecodeWorkers sets the size of the process-wide binary frame decode
-// pool. n <= 0 means one worker per GOMAXPROCS. The pool starts lazily with
-// the first binary stream; calls after that have no effect.
-func SetDecodeWorkers(n int) {
-	decodeMu.Lock()
-	decodeSetting = n
-	decodeMu.Unlock()
-}
-
-// decodePool returns the shared job queue and the worker count, starting the
-// workers on first use.
-func decodePool() (chan decodeJob, int) {
+// decodePool returns the shared job queue, starting one worker per
+// GOMAXPROCS on first use. The queue's capacity is the worker count.
+func decodePool() chan decodeJob {
 	decodeOnce.Do(func() {
-		decodeMu.Lock()
-		n := decodeSetting
-		decodeMu.Unlock()
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
+		n := runtime.GOMAXPROCS(0)
 		decodeJobQueue = make(chan decodeJob, n)
-		decodeStarted = n
-		for i := 0; i < n; i++ {
+		for range n {
 			go decodeWorker(decodeJobQueue)
 		}
 	})
-	return decodeJobQueue, decodeStarted
+	return decodeJobQueue
 }
 
 // frameBufPool recycles raw frame buffers between the stream reader and the
@@ -100,34 +82,23 @@ func decodeWorker(jobs <-chan decodeJob) {
 	}
 }
 
-// ReadBinaryStream decodes a stream of binary frames from r and submits
-// every frame's readings to c, in arrival order, until EOF. Frames decode in
-// parallel on the shared worker pool. Any framing fault (bad magic, bad
-// length, CRC mismatch, truncation) is fatal to the stream and reported as a
-// *FrameError — unlike NDJSON there is no line boundary to resync on.
-// Semantically invalid readings inside a well-formed frame are counted as
-// rejected and skipped, like undecodable NDJSON lines.
-func ReadBinaryStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
-	var span *obs.Span
-	switch {
-	case o.Parent.Recording():
-		span = o.Tracer.StartSpan("ingest.decode", o.Parent)
-	case !o.Parent.Valid():
-		span = o.Tracer.Root("ingest.decode")
-	}
+// readFrames is ReadStream's binary codec: it decodes a stream of frames
+// and submits every frame's readings to c, in arrival order, until EOF.
+// Frames decode in parallel on the shared worker pool. Any framing fault
+// (bad magic, bad length, CRC mismatch, truncation) is fatal to the stream
+// and reported as a *FrameError — unlike NDJSON there is no line boundary to
+// resync on. Semantically invalid readings inside a well-formed frame are
+// counted as rejected and skipped, like undecodable NDJSON lines.
+func readFrames(br *bufio.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
+	span := startDecodeSpan(o)
 	span.SetAttr("codec", "binary")
 	ctx := span.Context()
 
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
-	}
-
-	jobs, workers := decodePool()
+	jobs := decodePool()
 	// The in-order spine: the reader pushes each frame's result channel here
 	// before dispatching its decode, the submitter drains it sequentially.
 	// Its capacity bounds decoded-but-unsubmitted frames end to end.
-	results := make(chan chan decodeResult, workers+2)
+	results := make(chan chan decodeResult, cap(jobs)+2)
 	done := make(chan struct{})
 	var stopOnce sync.Once
 	stop := func() { stopOnce.Do(func() { close(done) }) }
@@ -252,20 +223,4 @@ func ReadBinaryStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, er
 		return st, err
 	}
 	return st, nil
-}
-
-// ReadWireStream reads a stream of readings in either wire codec, sniffing
-// the first byte: FrameMagic (0xBF, never a valid start of JSON or UTF-8
-// text) selects the binary frame codec, anything else — including an empty
-// stream — is NDJSON, which stays the default. This is the entry point for
-// transports with no content-type channel (TCP sockets, file replay).
-func ReadWireStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
-	}
-	if first, err := br.Peek(1); err == nil && first[0] == FrameMagic {
-		return ReadBinaryStream(br, c, o)
-	}
-	return ReadStreamOpts(br, c, o)
 }

@@ -74,7 +74,7 @@ func TestReadBinaryStreamPreservesOrder(t *testing.T) {
 	const n = 5000
 	stream, want := encodeFrames(t, n, 100) // 50 frames in flight
 	sink := &collectConsumer{}
-	st, err := ReadBinaryStream(bytes.NewReader(stream), sink, StreamOptions{})
+	st, err := ReadStream(bytes.NewReader(stream), sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestReadBinaryStreamPreservesOrder(t *testing.T) {
 func TestReadBinaryStreamPrefersBatchConsumer(t *testing.T) {
 	stream, want := encodeFrames(t, 1000, 250)
 	sink := &batchConsumer{}
-	st, err := ReadBinaryStream(bytes.NewReader(stream), sink, StreamOptions{})
+	st, err := ReadStream(bytes.NewReader(stream), sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestReadBinaryStreamCorruptFrameFatal(t *testing.T) {
 	mutated := append([]byte(nil), stream...)
 	mutated[len(mutated)-3] ^= 0x10 // corrupt the last frame's payload
 	sink := &collectConsumer{}
-	st, err := ReadBinaryStream(bytes.NewReader(mutated), sink, StreamOptions{})
+	st, err := ReadStream(bytes.NewReader(mutated), sink, StreamOptions{})
 	var fe *FrameError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err %v, want *FrameError", err)
@@ -128,18 +128,18 @@ func TestReadBinaryStreamCorruptFrameFatal(t *testing.T) {
 
 func TestReadBinaryStreamTruncatedFatal(t *testing.T) {
 	stream, _ := encodeFrames(t, 100, 100)
-	_, err := ReadBinaryStream(bytes.NewReader(stream[:len(stream)-4]), &collectConsumer{}, StreamOptions{})
+	_, err := ReadStream(bytes.NewReader(stream[:len(stream)-4]), &collectConsumer{}, StreamOptions{})
 	var fe *FrameError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err %v, want *FrameError", err)
 	}
 }
 
-func TestReadWireStreamSniffsCodec(t *testing.T) {
+func TestReadStreamSniffsCodec(t *testing.T) {
 	// Binary first byte routes to the frame decoder.
 	stream, want := encodeFrames(t, 10, 10)
 	sink := &collectConsumer{}
-	if _, err := ReadWireStream(bytes.NewReader(stream), sink, StreamOptions{}); err != nil {
+	if _, err := ReadStream(bytes.NewReader(stream), sink, StreamOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if sink.count() != len(want) {
@@ -147,22 +147,33 @@ func TestReadWireStreamSniffsCodec(t *testing.T) {
 	}
 	// Anything else is NDJSON, the default.
 	sink = &collectConsumer{}
-	if _, err := ReadWireStream(bytes.NewReader(ingestLine(t, 1)), sink, StreamOptions{}); err != nil {
+	if _, err := ReadStream(bytes.NewReader(ingestLine(t, 1)), sink, StreamOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if sink.count() != 1 {
 		t.Fatalf("NDJSON sniff delivered %d readings, want 1", sink.count())
 	}
 	// Empty stream: NDJSON path, zero stats, no error.
-	st, err := ReadWireStream(bytes.NewReader(nil), &collectConsumer{}, StreamOptions{})
+	st, err := ReadStream(bytes.NewReader(nil), &collectConsumer{}, StreamOptions{})
 	if err != nil || st.Accepted != 0 {
 		t.Fatalf("empty stream: %+v, %v", st, err)
+	}
+	// A leading magic byte commits the stream to frames even when no valid
+	// frame follows: the failure is a *FrameError, not a rejected line.
+	bogus := append([]byte{FrameMagic}, ingestLine(t, 1)...)
+	st, err = ReadStream(bytes.NewReader(bogus), &collectConsumer{}, StreamOptions{})
+	var fe *FrameError
+	if !errors.As(err, &fe) || fe.Frame != 1 {
+		t.Fatalf("magic-led garbage: err %v, want *FrameError for frame 1", err)
+	}
+	if st != (StreamStats{}) {
+		t.Fatalf("magic-led garbage counted %+v, want zero stats", st)
 	}
 }
 
 func TestTCPServerAcceptsBinaryFrames(t *testing.T) {
 	sink := &collectConsumer{}
-	srv, err := ServeTCP("127.0.0.1:0", sink)
+	srv, err := ServeTCPStaged("127.0.0.1:0", sink, DefaultTCPIdleTimeout, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +196,7 @@ func TestTCPServerAcceptsBinaryFrames(t *testing.T) {
 // split rejection stats.
 func TestIngestHandlerBinaryContentType(t *testing.T) {
 	sink := &batchConsumer{}
-	srv := httptest.NewServer(IngestHandler(sink))
+	srv := httptest.NewServer(IngestHandlerStaged(sink, nil, nil))
 	defer srv.Close()
 	stream, want := encodeFrames(t, 800, 200)
 	resp, err := http.Post(srv.URL, FrameContentType, bytes.NewReader(stream))
@@ -212,7 +223,7 @@ func TestIngestHandlerBinaryContentType(t *testing.T) {
 // a generic content type still decodes via the magic-byte sniff.
 func TestIngestHandlerSniffsBinaryWithoutContentType(t *testing.T) {
 	sink := &collectConsumer{}
-	srv := httptest.NewServer(IngestHandler(sink))
+	srv := httptest.NewServer(IngestHandlerStaged(sink, nil, nil))
 	defer srv.Close()
 	stream, want := encodeFrames(t, 50, 50)
 	resp, err := http.Post(srv.URL, "application/octet-stream", bytes.NewReader(stream))
@@ -231,29 +242,42 @@ func TestIngestHandlerSniffsBinaryWithoutContentType(t *testing.T) {
 // TestIngestHandlerCorruptFrameIs400 is the error-status contract: a corrupt
 // frame is the client's fault — 400 with a structured body naming the frame,
 // never 503 (which would make shippers retry an unpayable batch forever).
+// The frame content type selects the binary codec outright, so an NDJSON
+// body posted under it fails as frame 1 instead of being sniffed as lines.
 func TestIngestHandlerCorruptFrameIs400(t *testing.T) {
-	srv := httptest.NewServer(IngestHandler(&collectConsumer{}))
+	srv := httptest.NewServer(IngestHandlerStaged(&collectConsumer{}, nil, nil))
 	defer srv.Close()
 	stream, _ := encodeFrames(t, 100, 50)
 	mutated := append([]byte(nil), stream...)
 	mutated[len(mutated)-2] ^= 0x01
-	resp, err := http.Post(srv.URL, FrameContentType, bytes.NewReader(mutated))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	var body struct {
-		Error string `json:"error"`
-		Frame int    `json:"frame"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Frame != 2 || body.Error == "" {
-		t.Fatalf("error body %+v, want frame 2 named", body)
+	for _, tc := range []struct {
+		name          string
+		body          []byte
+		frame, accept int
+	}{
+		{"corrupt second frame", mutated, 2, 50},
+		{"ndjson under frame content type", ingestLine(t, 1), 1, 0},
+	} {
+		resp, err := http.Post(srv.URL, FrameContentType, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string      `json:"error"`
+			Frame int         `json:"frame"`
+			Stats StreamStats `json:"stats"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if body.Frame != tc.frame || body.Error == "" || body.Stats.Accepted != tc.accept {
+			t.Fatalf("%s: error body %+v, want frame %d named and %d accepted", tc.name, body, tc.frame, tc.accept)
+		}
 	}
 }
 
@@ -267,7 +291,7 @@ func (c errConsumer) Submit(Reading) error { return c.err }
 // the retryable status.
 func TestIngestHandlerConsumerErrorIs503(t *testing.T) {
 	closed := errors.New("fleet: pool is draining")
-	srv := httptest.NewServer(IngestHandler(errConsumer{err: closed}))
+	srv := httptest.NewServer(IngestHandlerStaged(errConsumer{err: closed}, nil, nil))
 	defer srv.Close()
 	for _, body := range []io.Reader{
 		bytes.NewReader(ingestLine(t, 1)),
@@ -291,7 +315,7 @@ func TestShipperBinaryWire(t *testing.T) {
 	sink := &batchConsumer{}
 	var mu sync.Mutex
 	contentTypes := map[string]int{}
-	handler := IngestHandler(sink)
+	handler := IngestHandlerStaged(sink, nil, nil)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		contentTypes[r.Header.Get("Content-Type")]++
@@ -351,7 +375,7 @@ func TestOversizedLineResync(t *testing.T) {
 	stream.Write(ingestLine(t, 4))
 
 	sink := &collectConsumer{}
-	st, err := ReadStream(&stream, sink)
+	st, err := ReadStream(&stream, sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +391,7 @@ func TestOversizedLineResync(t *testing.T) {
 // checks the split rejection counters in the JSON response.
 func TestOversizedLineResyncHTTP(t *testing.T) {
 	sink := &collectConsumer{}
-	srv := httptest.NewServer(IngestHandler(sink))
+	srv := httptest.NewServer(IngestHandlerStaged(sink, nil, nil))
 	defer srv.Close()
 	var body bytes.Buffer
 	body.Write(ingestLine(t, 1))
@@ -396,7 +420,7 @@ func TestOversizedLineResyncHTTP(t *testing.T) {
 // connection either.
 func TestOversizedLineResyncTCP(t *testing.T) {
 	sink := &collectConsumer{}
-	srv, err := ServeTCP("127.0.0.1:0", sink)
+	srv, err := ServeTCPStaged("127.0.0.1:0", sink, DefaultTCPIdleTimeout, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +448,7 @@ func TestOversizedLineResyncTCP(t *testing.T) {
 func TestFinalLineWithoutNewline(t *testing.T) {
 	line := bytes.TrimSuffix(ingestLine(t, 1), []byte("\n"))
 	sink := &collectConsumer{}
-	st, err := ReadStream(bytes.NewReader(line), sink)
+	st, err := ReadStream(bytes.NewReader(line), sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

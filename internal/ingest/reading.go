@@ -1,5 +1,5 @@
-// Package ingest is the live edge of the serving system: the wire codec for
-// streaming sensor readings (NDJSON over HTTP POST or a line-delimited TCP
+// Package ingest is the live edge of the serving system: the wire codecs for
+// streaming sensor readings (NDJSON or binary frames over HTTP POST or a TCP
 // socket), the out-of-order-tolerant windower that assembles observation
 // windows from unordered arrival using watermarks with bounded lateness, and
 // the listener plumbing that feeds decoded readings to a Consumer (the shard
@@ -40,9 +40,9 @@ type Reading struct {
 	// below the deployment's high-water mark are dropped as duplicates.
 	Seq uint64
 	// Trace is the span context stamped on this reading by a traced
-	// listener (one reading per sampled batch carries it — see
-	// ReadStreamTraced). It rides alongside the payload, not on the wire:
-	// batch headers carry trace context between processes.
+	// listener (one reading per sampled stream carries it — see
+	// StreamOptions.Tracer). It rides alongside the payload, not on the
+	// wire: batch headers carry trace context between processes.
 	Trace obs.SpanContext
 	// Reading is the ⟨t, p⟩ message itself.
 	sensor.Reading

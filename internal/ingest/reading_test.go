@@ -82,7 +82,7 @@ not a reading
 {"sensor":2,"time_s":-1,"values":[5]}
 `
 	var c collector
-	st, err := ReadStream(strings.NewReader(input), &c)
+	st, err := ReadStream(strings.NewReader(input), &c, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ not a reading
 }
 
 func TestReadStreamDropsAndFatals(t *testing.T) {
-	st, err := ReadStream(strings.NewReader(`{"sensor":0,"time_s":1,"values":[1]}`+"\n"), &collector{drop: true})
+	st, err := ReadStream(strings.NewReader(`{"sensor":0,"time_s":1,"values":[1]}`+"\n"), &collector{drop: true}, StreamOptions{})
 	if err != nil || st.Dropped != 1 {
 		t.Errorf("drop path: stats %+v err %v", st, err)
 	}
 	boom := errors.New("boom")
-	if _, err := ReadStream(strings.NewReader(`{"sensor":0,"time_s":1,"values":[1]}`+"\n"), &collector{err: boom}); !errors.Is(err, boom) {
+	if _, err := ReadStream(strings.NewReader(`{"sensor":0,"time_s":1,"values":[1]}`+"\n"), &collector{err: boom}, StreamOptions{}); !errors.Is(err, boom) {
 		t.Errorf("fatal consumer error not propagated: %v", err)
 	}
 }

@@ -51,32 +51,57 @@ func (e *PayloadError) Error() string {
 
 func (e *PayloadError) Unwrap() error { return e.Err }
 
-// ReadStream decodes NDJSON readings from r and submits each to c until EOF.
-// Undecodable lines are counted, not fatal (one bad producer must not kill a
-// shared socket); consumer errors other than ErrDropped are fatal.
-func ReadStream(r io.Reader, c Consumer) (StreamStats, error) {
-	return ReadStreamTraced(r, c, nil, obs.SpanContext{})
-}
-
-// ReadStreamTraced is ReadStream under a tracer: an "ingest.decode" span
-// covers the whole batch — continuing the producer's trace when parent is a
-// recording context (a stamped traceparent header), starting a sampled root
-// when parent is zero — and the first accepted reading is stamped with the
-// span's context, so exactly one reading per sampled batch threads the trace
-// through the queue, the windower, and the detector. A nil tracer (or an
-// explicitly unsampled parent) records nothing and behaves like ReadStream.
-func ReadStreamTraced(r io.Reader, c Consumer, tr *obs.Tracer, parent obs.SpanContext) (StreamStats, error) {
-	return ReadStreamOpts(r, c, StreamOptions{Tracer: tr, Parent: parent})
-}
-
-// StreamOptions carries the optional instrumentation of one NDJSON stream.
+// StreamOptions carries the optional instrumentation of one ingest stream.
 type StreamOptions struct {
-	// Tracer/Parent behave as in ReadStreamTraced.
+	// Tracer records an "ingest.decode" span over the whole stream,
+	// continuing the producer's trace when Parent is a recording context (a
+	// stamped traceparent header) and starting a sampled root when Parent is
+	// zero. The first accepted reading is stamped with the span's context, so
+	// exactly one reading per sampled stream threads the trace through the
+	// queue, the windower, and the detector. A nil Tracer (or an explicitly
+	// unsampled Parent) records nothing.
 	Tracer *obs.Tracer
 	Parent obs.SpanContext
-	// Decode, when non-nil, accumulates per-line decode time into the
+	// Decode, when non-nil, accumulates per-reading decode time into the
 	// ingest_decode stage clock for bottleneck attribution.
 	Decode *obs.StageClock
+}
+
+// ReadStream reads readings in either wire codec from r and submits them to
+// c until EOF. The first byte selects the codec: FrameMagic (0xBF, never a
+// valid start of JSON or UTF-8 text) means binary frames, anything else —
+// including an empty stream — is NDJSON, the default. It serves transports
+// with no content-type channel: TCP sockets and file or stdin replay.
+//
+// Undecodable NDJSON lines are counted, not fatal (one bad producer must not
+// kill a shared socket); a structurally broken frame is fatal and reported
+// as a *FrameError. Consumer errors other than ErrDropped are fatal.
+func ReadStream(r io.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
+	br := bufferedReader(r)
+	if first, err := br.Peek(1); err == nil && first[0] == FrameMagic {
+		return readFrames(br, c, o)
+	}
+	return readLines(br, c, o)
+}
+
+// bufferedReader reuses r when it is already buffered.
+func bufferedReader(r io.Reader) *bufio.Reader {
+	if br, ok := r.(*bufio.Reader); ok {
+		return br
+	}
+	return bufio.NewReaderSize(r, 64*1024)
+}
+
+// startDecodeSpan opens the stream's "ingest.decode" span under o's tracer
+// (nil when nothing is recorded).
+func startDecodeSpan(o StreamOptions) *obs.Span {
+	switch {
+	case o.Parent.Recording():
+		return o.Tracer.StartSpan("ingest.decode", o.Parent)
+	case !o.Parent.Valid():
+		return o.Tracer.Root("ingest.decode")
+	}
+	return nil
 }
 
 // decodeFlushEvery is how many timed lines accumulate locally before the
@@ -147,17 +172,9 @@ func trimEOL(b []byte) []byte {
 	return b
 }
 
-// ReadStreamOpts is the full-featured NDJSON stream reader; ReadStream and
-// ReadStreamTraced are thin wrappers over it, and ReadWireStream routes here
-// when the first byte is not the binary frame magic.
-func ReadStreamOpts(r io.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
-	var span *obs.Span
-	switch {
-	case o.Parent.Recording():
-		span = o.Tracer.StartSpan("ingest.decode", o.Parent)
-	case !o.Parent.Valid():
-		span = o.Tracer.Root("ingest.decode")
-	}
+// readLines is ReadStream's NDJSON codec.
+func readLines(br *bufio.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
+	span := startDecodeSpan(o)
 	ctx := span.Context()
 	var st StreamStats
 	var busy time.Duration
@@ -167,10 +184,6 @@ func ReadStreamOpts(r io.Reader, c Consumer, o StreamOptions) (StreamStats, erro
 			o.Decode.Observe(busy, lines)
 			busy, lines = 0, 0
 		}
-	}
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
 	}
 	lr := lineReader{br: br}
 	lineNo := 0
@@ -237,21 +250,11 @@ func finishDecodeSpan(span *obs.Span, st StreamStats) {
 	span.End()
 }
 
-// IngestHandler returns the HTTP handler for POST /ingest: the request body
-// is an NDJSON stream of readings, the response a JSON StreamStats.
-func IngestHandler(c Consumer) http.HandlerFunc {
-	return IngestHandlerTraced(c, nil)
-}
-
-// IngestHandlerTraced is IngestHandler under a tracer: a Traceparent request
-// header joins the batch to the producer's trace; without one the tracer's
-// root sampling applies.
-func IngestHandlerTraced(c Consumer, tr *obs.Tracer) http.HandlerFunc {
-	return IngestHandlerStaged(c, tr, nil)
-}
-
-// IngestHandlerStaged is IngestHandlerTraced plus decode-stage accounting:
-// each request body's per-line decode time feeds the given stage clock.
+// IngestHandlerStaged returns the HTTP handler for POST /ingest: the request
+// body is a stream of readings, the response a JSON StreamStats. A
+// Traceparent request header joins the stream's "ingest.decode" span to the
+// producer's trace (without one, tr's root sampling applies; tr may be nil),
+// and each body's decode time feeds the decode stage clock (may be nil).
 //
 // Codec negotiation: a FrameContentType request selects the binary frame
 // codec outright; any other content type is sniffed by the first body byte
@@ -275,9 +278,9 @@ func IngestHandlerStaged(c Consumer, tr *obs.Tracer, decode *obs.StageClock) htt
 		var st StreamStats
 		var err error
 		if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, FrameContentType) {
-			st, err = ReadBinaryStream(r.Body, c, o)
+			st, err = readFrames(bufferedReader(r.Body), c, o)
 		} else {
-			st, err = ReadWireStream(r.Body, c, o)
+			st, err = ReadStream(r.Body, c, o)
 		}
 		if err != nil {
 			writeIngestError(w, st, err)
@@ -324,59 +327,42 @@ func writeIngestError(w http.ResponseWriter, st StreamStats, err error) {
 // minutes of silence are normal; hours mean a half-open peer.
 const DefaultTCPIdleTimeout = 5 * time.Minute
 
-// TCPServer accepts line-delimited NDJSON readings on a TCP listener — the
-// mote-gateway-facing ingestion path, one stream per connection.
+// TCPServer accepts readings in either wire codec on a TCP listener — the
+// mote-gateway-facing ingestion path, one stream per connection, the codec
+// sniffed per connection as in ReadStream.
 type TCPServer struct {
-	ln     net.Listener
-	c      Consumer
-	idle   time.Duration
-	tracer *obs.Tracer
-	decode *obs.StageClock
-	wg     sync.WaitGroup
+	ln   net.Listener
+	c    Consumer
+	idle time.Duration
+	opts StreamOptions
+	wg   sync.WaitGroup
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 }
 
-// ServeTCP starts accepting connections on addr (e.g. ":9000",
+// ServeTCPStaged starts accepting connections on addr (e.g. ":9000",
 // "127.0.0.1:0") in the background, feeding decoded readings to c.
-// Connections idle longer than DefaultTCPIdleTimeout are severed.
-func ServeTCP(addr string, c Consumer) (*TCPServer, error) {
-	return ServeTCPTraced(addr, c, DefaultTCPIdleTimeout, nil)
-}
-
-// ServeTCPIdle is ServeTCP with an explicit idle timeout. The read deadline
-// resets on every read, so a live producer is never cut off mid-stream while
-// a stalled or half-open client cannot pin its goroutine (and the window
-// state behind it) forever. idle <= 0 disables the deadline.
-func ServeTCPIdle(addr string, c Consumer, idle time.Duration) (*TCPServer, error) {
-	return ServeTCPTraced(addr, c, idle, nil)
-}
-
-// ServeTCPTraced is ServeTCPIdle under a tracer: each connection's stream is
-// a root-sampled "ingest.decode" span (there is no header channel on a raw
-// socket, so TCP traces always root at the collector).
-func ServeTCPTraced(addr string, c Consumer, idle time.Duration, tr *obs.Tracer) (*TCPServer, error) {
-	return ServeTCPStaged(addr, c, idle, tr, nil)
-}
-
-// ServeTCPStaged is ServeTCPTraced plus decode-stage accounting on every
-// connection's stream.
+//
+// The read deadline resets on every read, so a live producer is never cut
+// off mid-stream while a connection silent for longer than idle (a stalled
+// or half-open client) cannot pin its goroutine, and the window state behind
+// it, forever; idle <= 0 disables the deadline. Each connection's stream is
+// a root-sampled "ingest.decode" span under tr (there is no header channel
+// on a raw socket, so TCP traces always root at the collector), and its
+// decode time feeds the decode stage clock. tr and decode may be nil.
 func ServeTCPStaged(addr string, c Consumer, idle time.Duration, tr *obs.Tracer, decode *obs.StageClock) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: listen %s: %w", addr, err)
 	}
-	s := &TCPServer{ln: ln, c: c, idle: idle, tracer: tr, decode: decode, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.accept()
-	return s, nil
+	return serveTCP(ln, c, idle, StreamOptions{Tracer: tr, Decode: decode}), nil
 }
 
-// ServeTCPListener runs the TCP ingest loop on a caller-supplied listener —
-// the seam the chaos harness wraps a fault-injecting listener through.
-func ServeTCPListener(ln net.Listener, c Consumer, idle time.Duration, tr *obs.Tracer) *TCPServer {
-	s := &TCPServer{ln: ln, c: c, idle: idle, tracer: tr, conns: make(map[net.Conn]struct{})}
+// serveTCP runs the ingest accept loop on ln in the background. Tests reach
+// it directly to serve through a fault-injecting listener.
+func serveTCP(ln net.Listener, c Consumer, idle time.Duration, o StreamOptions) *TCPServer {
+	s := &TCPServer{ln: ln, c: c, idle: idle, opts: o, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.accept()
 	return s
@@ -438,7 +424,7 @@ func (s *TCPServer) accept() {
 				r = idleConn{conn: conn, idle: s.idle}
 			}
 			// Both codecs share the socket: the first byte decides.
-			_, _ = ReadWireStream(r, s.c, StreamOptions{Tracer: s.tracer, Decode: s.decode})
+			_, _ = ReadStream(r, s.c, s.opts)
 		}()
 	}
 }

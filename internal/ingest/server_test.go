@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sensorguard/internal/chaos"
+	"sensorguard/internal/obs"
 	"sensorguard/internal/vecmat"
 )
 
@@ -57,7 +58,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 
 func TestTCPServerDeliversStream(t *testing.T) {
 	sink := &collectConsumer{}
-	srv, err := ServeTCP("127.0.0.1:0", sink)
+	srv, err := ServeTCPStaged("127.0.0.1:0", sink, DefaultTCPIdleTimeout, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestTCPAcceptRetriesTransientErrors(t *testing.T) {
 	ln.FailNextAccepts(4, syscall.EMFILE)
 
 	sink := &collectConsumer{}
-	srv := ServeTCPListener(ln, sink, 0, nil)
+	srv := serveTCP(ln, sink, 0, StreamOptions{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -107,11 +108,43 @@ func TestTCPAcceptRetriesTransientErrors(t *testing.T) {
 	}
 }
 
+// TestTCPListenerSeamFeedsDecodeClock: streams served through a wrapped
+// listener run the same loop as ServeTCPStaged, so their decode time reaches
+// the ingest_decode stage clock, one unit per reading.
+func TestTCPListenerSeamFeedsDecodeClock(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := obs.NewStageSet(obs.NewRegistry(), "ingest_decode")
+	sink := &collectConsumer{}
+	srv := serveTCP(chaos.WrapListener(inner), sink, 0, StreamOptions{Decode: stages.Clock("ingest_decode")})
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 25
+	for i := 0; i < n; i++ {
+		if _, err := conn.Write(ingestLine(t, 300*(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.Close()
+	units := func() uint64 { return stages.Snapshot(time.Now()).Units["ingest_decode"] }
+	waitFor(t, 5*time.Second, func() bool { return units() == n },
+		fmt.Sprintf("decode clock never reached %d units", n))
+	if sink.count() != n {
+		t.Fatalf("consumer got %d readings, want %d", sink.count(), n)
+	}
+}
+
 // TestTCPIdleTimeoutSeversStalledConn checks the half-open-client defence: a
 // connection that goes silent past the idle timeout is severed by the server.
 func TestTCPIdleTimeoutSeversStalledConn(t *testing.T) {
 	sink := &collectConsumer{}
-	srv, err := ServeTCPIdle("127.0.0.1:0", sink, 80*time.Millisecond)
+	srv, err := ServeTCPStaged("127.0.0.1:0", sink, 80*time.Millisecond, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +174,7 @@ func TestTCPIdleTimeoutSeversStalledConn(t *testing.T) {
 // for several multiples of it overall — is never cut off.
 func TestTCPIdleTimeoutSparesLiveProducer(t *testing.T) {
 	sink := &collectConsumer{}
-	srv, err := ServeTCPIdle("127.0.0.1:0", sink, 150*time.Millisecond)
+	srv, err := ServeTCPStaged("127.0.0.1:0", sink, 150*time.Millisecond, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,9 @@ type (
 	IngestConsumer = ingest.Consumer
 	// IngestStats counts the outcome of one ingest stream (either codec).
 	IngestStats = ingest.StreamStats
+	// IngestStreamOptions carries a stream's optional tracer, parent trace
+	// context, and decode stage clock; the zero value records nothing.
+	IngestStreamOptions = ingest.StreamOptions
 	// StreamWindower assembles windows from out-of-order arrival using
 	// watermarks with bounded lateness.
 	StreamWindower = ingest.Windower
@@ -34,7 +37,7 @@ type (
 	FleetStatus = fleet.Status
 	// OverflowPolicy says what Submit does when a shard queue is full.
 	OverflowPolicy = fleet.Policy
-	// IngestTCPServer accepts line-delimited NDJSON readings over TCP.
+	// IngestTCPServer accepts readings in either wire codec over TCP.
 	IngestTCPServer = ingest.TCPServer
 	// FleetDurability configures the write-ahead journal and periodic
 	// checkpoints (see docs/RESILIENCE.md).
@@ -127,49 +130,21 @@ func ParseOverflowPolicy(s string) (OverflowPolicy, error) { return fleet.ParseP
 // the /metrics family when reg is non-nil).
 func FleetHandler(p *Fleet, reg *MetricsRegistry) http.Handler { return fleet.Handler(p, reg) }
 
-// ServeIngestTCP accepts line-delimited NDJSON readings on addr in the
-// background, feeding them to c.
-func ServeIngestTCP(addr string, c IngestConsumer) (*IngestTCPServer, error) {
-	return ingest.ServeTCP(addr, c)
+// ServeIngestTCP accepts readings in either wire codec on addr in the
+// background, feeding them to c. Each connection is one stream under o (its
+// Parent is ignored: TCP traces root at the collector); connections idle
+// longer than five minutes are severed. Wire a fleet's tracer and decode
+// clock with IngestStreamOptions{Tracer: p.Tracer(), Decode: p.DecodeClock()}
+// so TCP ingestion participates in bottleneck attribution like POST /ingest.
+func ServeIngestTCP(addr string, c IngestConsumer, o IngestStreamOptions) (*IngestTCPServer, error) {
+	return ingest.ServeTCPStaged(addr, c, ingest.DefaultTCPIdleTimeout, o.Tracer, o.Decode)
 }
 
-// ServeIngestTCPTraced is ServeIngestTCP with per-connection "ingest.decode"
-// spans recorded under tr's sampling policy (tr may be nil).
-func ServeIngestTCPTraced(addr string, c IngestConsumer, tr *Tracer) (*IngestTCPServer, error) {
-	return ingest.ServeTCPTraced(addr, c, ingest.DefaultTCPIdleTimeout, tr)
-}
-
-// ServeIngestTCPFor is ServeIngestTCPTraced wired to a fleet: connections
-// inherit the pool's tracer and feed the ingest_decode stage clock, so TCP
-// ingestion participates in bottleneck attribution like POST /ingest does.
-func ServeIngestTCPFor(addr string, p *Fleet) (*IngestTCPServer, error) {
-	return ingest.ServeTCPStaged(addr, p, ingest.DefaultTCPIdleTimeout, p.Tracer(), p.DecodeClock())
-}
-
-// ReadIngestStream decodes NDJSON readings from r and submits each to c
-// until EOF.
-func ReadIngestStream(r io.Reader, c IngestConsumer) (IngestStats, error) {
-	return ingest.ReadStream(r, c)
-}
-
-// ReadIngestStreamTraced is ReadIngestStream recording an "ingest.decode"
-// span for the stream under tr's sampling policy (tr may be nil).
-func ReadIngestStreamTraced(r io.Reader, c IngestConsumer, tr *Tracer) (IngestStats, error) {
-	return ingest.ReadStreamTraced(r, c, tr, obs.SpanContext{})
-}
-
-// ReadIngestWire reads a stream of readings in either wire codec, sniffing
-// the first byte: the binary frame magic selects the columnar frame codec,
-// anything else is NDJSON (the default). tr may be nil.
-func ReadIngestWire(r io.Reader, c IngestConsumer, tr *Tracer) (IngestStats, error) {
-	return ingest.ReadWireStream(r, c, ingest.StreamOptions{Tracer: tr})
-}
-
-// ReadIngestWireFor is ReadIngestWire wired to a fleet: the stream inherits
-// the pool's tracer and feeds the ingest_decode stage clock, so source-stream
-// ingestion participates in bottleneck attribution like the listeners do.
-func ReadIngestWireFor(r io.Reader, p *Fleet) (IngestStats, error) {
-	return ingest.ReadWireStream(r, p, ingest.StreamOptions{Tracer: p.Tracer(), Decode: p.DecodeClock()})
+// ReadIngestStream reads readings from r and submits them to c until EOF.
+// The first byte selects the codec: the binary frame magic means columnar
+// frames, anything else is NDJSON (the default).
+func ReadIngestStream(r io.Reader, c IngestConsumer, o IngestStreamOptions) (IngestStats, error) {
+	return ingest.ReadStream(r, c, o)
 }
 
 // IngestFrameContentType is the Content-Type that negotiates the binary
@@ -182,11 +157,6 @@ func EncodeIngestFrame(rs []IngestReading) ([]byte, error) { return ingest.Encod
 // DecodeIngestFrame parses one binary wire frame, returning its readings and
 // the count of semantically invalid ones it skipped.
 func DecodeIngestFrame(frame []byte) ([]IngestReading, int, error) { return ingest.DecodeFrame(frame) }
-
-// SetIngestDecodeWorkers sizes the process-wide binary frame decode pool
-// (default: one worker per GOMAXPROCS). Call before serving; the pool starts
-// lazily with the first binary stream and keeps its size after that.
-func SetIngestDecodeWorkers(n int) { ingest.SetDecodeWorkers(n) }
 
 // EncodeIngestLine renders a reading as one NDJSON line (no newline).
 func EncodeIngestLine(r IngestReading) ([]byte, error) { return ingest.EncodeLine(r) }
