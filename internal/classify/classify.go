@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"sensorguard/internal/hmm"
 	"sensorguard/internal/stats"
@@ -209,41 +210,81 @@ type NetworkDiagnosis struct {
 // ErrNoStates is returned when the analysis has no active states to work on.
 var ErrNoStates = errors.New("classify: no active states")
 
+// Scratch holds the per-call temporaries of Network and Sensor — the
+// active-row filter, the restricted and ⊥-free emission matrices, the row,
+// column and symbol index slices — so a caller that classifies every window
+// reuses them instead of allocating them per call. The zero value is ready
+// to use. A Scratch is not safe for concurrent use; the diagnoses returned
+// through it never alias its storage.
+type Scratch struct {
+	sub, norm           vecmat.Matrix
+	active, used        []int
+	rows, cols, symbols []int
+	seen                map[int]bool
+	ratios, diffs       [][]float64
+}
+
 // Network analyses the B^CO snapshot. states supplies the attribute vector
 // of every model state (for the Dynamic-Change attribute test).
 func Network(co hmm.Snapshot, states map[int]vecmat.Vector, cfg Config) (NetworkDiagnosis, error) {
-	activeRows := activeHidden(co, cfg.MinStateShare)
-	if len(activeRows) == 0 {
+	var s Scratch
+	return s.Network(co, states, cfg)
+}
+
+// Network is the package-level Network with its temporaries kept in s.
+func (s *Scratch) Network(co hmm.Snapshot, states map[int]vecmat.Vector, cfg Config) (NetworkDiagnosis, error) {
+	s.active = activeHidden(s.active[:0], co, cfg.MinStateShare)
+	if len(s.active) == 0 {
 		return NetworkDiagnosis{}, ErrNoStates
+	}
+	// The diagnosis keeps the active rows, so they get their own copy.
+	activeRows := slices.Clone(s.active)
+	if co.B.Cols() != len(co.SymbolIDs) {
+		return NetworkDiagnosis{}, fmt.Errorf("classify: B^CO has %d columns for %d symbols: %w",
+			co.B.Cols(), len(co.SymbolIDs), vecmat.ErrDimensionMismatch)
 	}
 	// Restrict B to the active rows so spurious states contaminate
 	// neither the row nor the column tests.
-	sub := vecmat.NewMatrix(len(activeRows), len(co.SymbolIDs))
+	sub := &s.sub
+	sub.Reshape(len(activeRows), len(co.SymbolIDs))
 	for i, id := range activeRows {
 		ri, err := co.HiddenIndex(id)
 		if err != nil {
 			return NetworkDiagnosis{}, err
 		}
-		if err := sub.SetRow(i, co.B.Row(ri)); err != nil {
-			return NetworkDiagnosis{}, err
+		for j := range co.SymbolIDs {
+			sub.Set(i, j, co.B.At(ri, j))
 		}
 	}
-	colIdx, _ := activeSymbolsOf(sub, allRows(sub.Rows()), co.SymbolIDs)
+	s.rows = s.rows[:0]
+	for i := range activeRows {
+		s.rows = append(s.rows, i)
+	}
+	s.cols = activeCols(s.cols[:0], sub, s.rows)
+	// With no active column the filter stays nil, which ColsOrthogonal
+	// reads as "every column".
+	var colIdx []int
+	if len(s.cols) > 0 {
+		colIdx = s.cols
+	}
 
 	d := NetworkDiagnosis{ActiveHidden: activeRows}
-	for _, v := range sub.RowsOrthogonal(cfg.NetRowOrtho, nil) {
-		d.RowViolations = append(d.RowViolations, vecmat.OrthoViolation{
-			I: activeRows[v.I], J: activeRows[v.J], Dot: v.Dot,
-		})
+	// The orthogonality tests return fresh slices of matrix indices;
+	// translate them to state IDs in place.
+	d.RowViolations = sub.RowsOrthogonal(cfg.NetRowOrtho, s.rows)
+	for i, v := range d.RowViolations {
+		d.RowViolations[i].I, d.RowViolations[i].J = activeRows[v.I], activeRows[v.J]
 	}
-	for _, v := range sub.ColsOrthogonal(cfg.NetColOrtho, colIdx) {
-		d.ColViolations = append(d.ColViolations, vecmat.OrthoViolation{
-			I: co.SymbolIDs[v.I], J: co.SymbolIDs[v.J], Dot: v.Dot,
-		})
+	d.ColViolations = sub.ColsOrthogonal(cfg.NetColOrtho, colIdx)
+	for i, v := range d.ColViolations {
+		d.ColViolations[i].I, d.ColViolations[i].J = co.SymbolIDs[v.I], co.SymbolIDs[v.J]
 	}
 	for i := range activeRows {
 		c, mass := sub.DominantCol(i)
 		if c >= 0 {
+			if d.Associations == nil {
+				d.Associations = make([]Association, 0, len(activeRows)-i)
+			}
 			d.Associations = append(d.Associations, Association{
 				Hidden: activeRows[i], Symbol: co.SymbolIDs[c], Mass: mass,
 			})
@@ -256,7 +297,7 @@ func Network(co hmm.Snapshot, states map[int]vecmat.Vector, cfg Config) (Network
 	// marginal orthogonality violations at its activation edges, but no
 	// deletion (non-injective) or creation (identity-dominant split) can
 	// satisfy the injective all-displaced condition.
-	if isChangeMapping(d.Associations, states, cfg.ChangeMinDelta, cfg.ChangeMinDominance) {
+	if s.isChangeMapping(d.Associations, states, cfg.ChangeMinDelta, cfg.ChangeMinDominance) {
 		d.Kind = KindDynamicChange
 		d.Confidence = networkConfidence(&d, cfg)
 		return d, nil
@@ -289,29 +330,25 @@ func Network(co hmm.Snapshot, states map[int]vecmat.Vector, cfg Config) (Network
 
 // isChangeMapping extends isChangeAttack with the injectivity and dominance
 // conditions of the network-level Dynamic-Change test.
-func isChangeMapping(assocs []Association, states map[int]vecmat.Vector, minDelta, minDominance float64) bool {
+func (s *Scratch) isChangeMapping(assocs []Association, states map[int]vecmat.Vector, minDelta, minDominance float64) bool {
 	if len(assocs) == 0 {
 		return false
 	}
-	seen := make(map[int]bool, len(assocs))
+	if s.seen == nil {
+		s.seen = make(map[int]bool, len(assocs))
+	} else {
+		clear(s.seen)
+	}
 	for _, a := range assocs {
 		if a.Mass < minDominance {
 			return false
 		}
-		if seen[a.Symbol] {
+		if s.seen[a.Symbol] {
 			return false // not injective
 		}
-		seen[a.Symbol] = true
+		s.seen[a.Symbol] = true
 	}
 	return isChangeAttack(assocs, states, minDelta)
-}
-
-func allRows(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // isChangeAttack tests the Dynamic-Change signature: a one-to-one
@@ -345,22 +382,22 @@ func isChangeAttack(assocs []Association, states map[int]vecmat.Vector, minDelta
 	return true
 }
 
-// activeHidden filters hidden states by visit share.
-func activeHidden(s hmm.Snapshot, minShare float64) []int {
+// activeHidden appends to dst the hidden states that pass the visit-share
+// filter.
+func activeHidden(dst []int, s hmm.Snapshot, minShare float64) []int {
 	var total float64
 	for _, v := range s.Visits {
 		total += v
 	}
 	if total == 0 {
-		return nil
+		return dst
 	}
-	var out []int
 	for _, id := range s.HiddenIDs {
 		if s.Visits[id]/total >= minShare {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
 // AttributeFit summarises how constant the correct/error attribute ratio or
@@ -423,23 +460,31 @@ type SensorDiagnosis struct {
 // signature (Eq. 7, ⊥ excluded per §4.1) and the empirical error profile
 // for the calibration/additive/noise discrimination.
 func Sensor(sensorID int, ce hmm.Snapshot, states map[int]vecmat.Vector, profile ErrorProfile, cfg Config) (SensorDiagnosis, error) {
+	var s Scratch
+	return s.Sensor(sensorID, ce, states, profile, cfg)
+}
+
+// Sensor is the package-level Sensor with its temporaries kept in s.
+func (s *Scratch) Sensor(sensorID int, ce hmm.Snapshot, states map[int]vecmat.Vector, profile ErrorProfile, cfg Config) (SensorDiagnosis, error) {
 	d := SensorDiagnosis{Sensor: sensorID, Kind: KindUnknownError}
 
-	activeRows := activeHidden(ce, cfg.MinStateShare)
+	s.active = activeHidden(s.active[:0], ce, cfg.MinStateShare)
+	activeRows := s.active
 	if len(activeRows) == 0 {
 		return d, ErrNoStates
 	}
-	rowIdx := make([]int, len(activeRows))
-	for i, id := range activeRows {
+	s.rows = s.rows[:0]
+	for _, id := range activeRows {
 		ri, err := ce.HiddenIndex(id)
 		if err != nil {
 			return d, err
 		}
-		rowIdx[i] = ri
+		s.rows = append(s.rows, ri)
 	}
+	rowIdx := s.rows
 
 	// Build the ⊥-free view: columns other than Bottom.
-	sub, subIDs := dropBottom(ce)
+	sub, subIDs := s.dropBottom(ce)
 
 	// Drop rows whose mass sits almost entirely on ⊥: in those hidden
 	// states the sensor agreed with the majority, so they carry no
@@ -482,7 +527,13 @@ func Sensor(sensorID int, ce hmm.Snapshot, states map[int]vecmat.Vector, profile
 
 	// Report the B^CE associations (dominant non-⊥ symbol per active
 	// hidden state) for inspection and the change-attack fallback.
-	norm := sub.Clone()
+	norm := &s.norm
+	norm.Reshape(sub.Rows(), sub.Cols())
+	for i := 0; i < sub.Rows(); i++ {
+		for j := 0; j < sub.Cols(); j++ {
+			norm.Set(i, j, sub.At(i, j))
+		}
+	}
 	norm.NormalizeRows()
 	for _, ri := range rowIdx {
 		c, mass := norm.DominantCol(ri)
@@ -497,16 +548,16 @@ func Sensor(sensorID int, ce hmm.Snapshot, states map[int]vecmat.Vector, profile
 	// enough recorded windows. The test needs the fault observed across
 	// at least two environment states: with a single state the ratio and
 	// difference are trivially "constant" and carry no evidence.
-	used := make([]int, 0, len(activeRows))
+	s.used = s.used[:0]
 	for _, id := range activeRows {
 		if st, ok := profile[id]; ok && st.N >= cfg.MinProfileN {
-			used = append(used, id)
+			s.used = append(s.used, id)
 		}
 	}
-	if len(used) < 2 {
+	if len(s.used) < 2 {
 		return d, nil
 	}
-	ratio, diff, maxStd, err := profileFits(used, states, profile)
+	ratio, diff, maxStd, err := s.profileFits(s.used, states, profile)
 	if err != nil {
 		return d, nil //nolint:nilerr // missing attributes: report unknown
 	}
@@ -565,7 +616,7 @@ func Sensor(sensorID int, ce hmm.Snapshot, states map[int]vecmat.Vector, profile
 // profileFits computes the per-attribute ratio and difference summaries of
 // correct-state attributes against the suspect's empirical error means, and
 // the largest within-state standard deviation.
-func profileFits(used []int, states map[int]vecmat.Vector, profile ErrorProfile) (ratio, diff AttributeFit, maxStd float64, err error) {
+func (s *Scratch) profileFits(used []int, states map[int]vecmat.Vector, profile ErrorProfile) (ratio, diff AttributeFit, maxStd float64, err error) {
 	var dim int
 	var ratios, diffs [][]float64
 	for _, id := range used {
@@ -579,8 +630,9 @@ func profileFits(used []int, states map[int]vecmat.Vector, profile ErrorProfile)
 		}
 		if dim == 0 {
 			dim = len(hc)
-			ratios = make([][]float64, dim)
-			diffs = make([][]float64, dim)
+			s.ratios = emptyRows(s.ratios, dim)
+			s.diffs = emptyRows(s.diffs, dim)
+			ratios, diffs = s.ratios, s.diffs
 		}
 		for i := 0; i < dim; i++ {
 			const eps = 1e-9
@@ -607,42 +659,65 @@ func profileFits(used []int, states map[int]vecmat.Vector, profile ErrorProfile)
 	return fit(ratios), fit(diffs), maxStd, nil
 }
 
+// emptyRows returns rows resized to n empty slices, keeping the capacity
+// of the ones it already holds.
+func emptyRows(rows [][]float64, n int) [][]float64 {
+	for len(rows) < n {
+		rows = append(rows, nil)
+	}
+	rows = rows[:n]
+	for i := range rows {
+		rows[i] = rows[i][:0]
+	}
+	return rows
+}
+
 func hiddenIDAt(s hmm.Snapshot, rowIdx int) int { return s.HiddenIDs[rowIdx] }
 
-// dropBottom returns B without the ⊥ column plus the surviving symbol IDs.
-func dropBottom(s hmm.Snapshot) (*vecmat.Matrix, []int) {
+// dropBottom fills the scratch with B minus the ⊥ column and returns it
+// with the surviving symbol IDs.
+func (s *Scratch) dropBottom(v hmm.Snapshot) (*vecmat.Matrix, []int) {
 	bottomCol := -1
-	for j, id := range s.SymbolIDs {
+	for j, id := range v.SymbolIDs {
 		if id == track.Bottom {
 			bottomCol = j
 		}
 	}
-	if bottomCol < 0 {
-		return s.B.Clone(), append([]int(nil), s.SymbolIDs...)
-	}
-	m := s.B.Clone()
-	m.RemoveCol(bottomCol)
-	ids := make([]int, 0, len(s.SymbolIDs)-1)
-	for j, id := range s.SymbolIDs {
+	s.symbols = s.symbols[:0]
+	for j, id := range v.SymbolIDs {
 		if j != bottomCol {
-			ids = append(ids, id)
+			s.symbols = append(s.symbols, id)
 		}
 	}
-	return m, ids
+	cols := v.B.Cols()
+	if bottomCol >= 0 {
+		cols--
+	}
+	s.sub.Reshape(v.B.Rows(), cols)
+	for i := 0; i < v.B.Rows(); i++ {
+		k := 0
+		for j := 0; j < v.B.Cols(); j++ {
+			if j != bottomCol {
+				s.sub.Set(i, k, v.B.At(i, j))
+				k++
+			}
+		}
+	}
+	return &s.sub, s.symbols
 }
 
-func activeSymbolsOf(b *vecmat.Matrix, rowIdx []int, ids []int) ([]int, []int) {
+// activeCols appends to dst the columns of b holding at least a minimum
+// mass over the given rows.
+func activeCols(dst []int, b *vecmat.Matrix, rowIdx []int) []int {
 	const minMass = 0.05
-	var idx, out []int
 	for j := 0; j < b.Cols(); j++ {
 		var mass float64
 		for _, ri := range rowIdx {
 			mass += b.At(ri, j)
 		}
 		if mass >= minMass {
-			idx = append(idx, j)
-			out = append(out, ids[j])
+			dst = append(dst, j)
 		}
 	}
-	return idx, out
+	return dst
 }

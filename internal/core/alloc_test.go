@@ -1,9 +1,11 @@
 package core
 
 import (
+	"io"
 	"testing"
 
 	"sensorguard/internal/network"
+	"sensorguard/internal/vecmat"
 )
 
 // TestStepZeroAllocSteadyState pins the hot-path contract: once the
@@ -36,6 +38,61 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(500, step); got != 0 {
 		t.Fatalf("steady-state Step allocates %v times per window, want 0", got)
+	}
+}
+
+// maxOpenTrackStepAllocs bounds the allocations of one window that carries
+// an open track and emits a decision record to the audit log. What remains
+// is what the record keeps (its slices, attribute copies and the B^CO
+// evidence) plus the per-window model-state and open-track copies taken from
+// the cluster set and the track manager.
+const maxOpenTrackStepAllocs = 24
+
+// TestStepAllocsWithOpenTrack pins the cost of the diagnosis and provenance
+// pass: a window with a long-open track runs the quarantine diagnosis on
+// M_CE and assembles a decision record with B^CO evidence, encoded to the
+// audit log. Scratch reuse keeps that to a small fixed number of
+// allocations; a regression re-taxes every alarming window.
+func TestStepAllocsWithOpenTrack(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops the audit log's encode buffers at random")
+	}
+	cfg := DefaultConfig(keyStates())
+	cfg.Decisions = NewDecisionLog(io.Discard)
+	d, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := keyStates()
+	wins := make([]network.Window, 4)
+	for v := range wins {
+		bySensor := make([]vecmat.Vector, 10)
+		for s := 0; s < 9; s++ {
+			bySensor[s] = points[v]
+		}
+		bySensor[9] = vecmat.Vector{45, 20}
+		wins[v] = window(v, bySensor)
+	}
+	idx := 0
+	step := func() {
+		w := wins[idx%4]
+		w.Index = idx
+		if _, err := d.Step(w); err != nil {
+			t.Fatal(err)
+		}
+		idx++
+	}
+	// Warm up past QuarantineAfter so the track is old enough to be
+	// diagnosed every window.
+	for i := 0; i < 4*cfg.QuarantineAfter; i++ {
+		step()
+	}
+	if _, open := d.Tracks().Active(9); !open {
+		t.Fatal("test is vacuous: the outlier has no open track")
+	}
+	if got := testing.AllocsPerRun(200, step); got > maxOpenTrackStepAllocs {
+		t.Fatalf("Step with an open track and an audit log allocates %v times per window, want <= %d",
+			got, maxOpenTrackStepAllocs)
 	}
 }
 

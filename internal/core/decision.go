@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -186,26 +186,46 @@ func (r *DecisionRing) Dropped() int {
 
 // DecisionLog streams records as NDJSON — the -audit-log sink. Safe for
 // concurrent use; write errors are sticky (first kept, later records
-// dropped), check Err after the run.
+// dropped), check Err after the run. Each line is byte-identical to
+// json.Encoder's encoding of the record, but is written by a hand-rolled
+// appender into a pooled buffer before the lock is taken, so concurrent
+// callers serialise only on the write.
 type DecisionLog struct {
 	mu  sync.Mutex
-	enc *json.Encoder
+	w   io.Writer
 	err error
 }
 
 // NewDecisionLog returns a log writing NDJSON to w.
 func NewDecisionLog(w io.Writer) *DecisionLog {
-	return &DecisionLog{enc: json.NewEncoder(w)}
+	return &DecisionLog{w: w}
 }
+
+// decisionBufs pools DecisionLog's encode buffers; buffers grown past
+// maxPooledDecisionBuf by an outsized record are left to the collector.
+var decisionBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledDecisionBuf = 256 << 10
 
 // Record writes one NDJSON line.
 func (l *DecisionLog) Record(rec DecisionRecord) {
+	bp := decisionBufs.Get().(*[]byte)
+	line, ok := appendDecisionRecord((*bp)[:0], &rec)
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return
+	if l.err == nil {
+		if ok {
+			_, l.err = l.w.Write(line)
+		} else {
+			// A NaN or infinity: encoding/json refuses the record, and
+			// its error becomes the sticky one.
+			l.err = json.NewEncoder(l.w).Encode(rec)
+		}
 	}
-	l.err = l.enc.Encode(rec)
+	l.mu.Unlock()
+	if cap(line) <= maxPooledDecisionBuf {
+		*bp = line
+		decisionBufs.Put(bp)
+	}
 }
 
 // Err returns the first write error, if any.
@@ -227,7 +247,7 @@ func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
 	}
 	rec.Observable, rec.Correct = res.Observable, res.Correct
 
-	attrs := d.StateAttributes()
+	attrs := d.stateAttrs()
 	if a, ok := attrs[res.Observable]; ok {
 		rec.ObservableAttrs = a.Clone()
 	}
@@ -235,15 +255,12 @@ func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
 		rec.CorrectAttrs = a.Clone()
 	}
 
-	clusters := make(map[int]int)
-	ids := make([]int, 0, len(res.Sensors))
-	for id := range res.Sensors {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	// step left the window's sensor IDs sorted in scratch.ids and the
+	// Eq. (4) per-state tally in scratch.states.
+	ids := d.scratch.ids
+	rec.Sensors = make([]SensorDecision, 0, len(ids))
 	for _, id := range ids {
 		st := res.Sensors[id]
-		clusters[st.Mapped]++
 		sd := SensorDecision{
 			Sensor:        id,
 			Nearest:       st.Mapped,
@@ -266,13 +283,16 @@ func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
 		}
 		rec.Sensors = append(rec.Sensors, sd)
 	}
-	states := make([]int, 0, len(clusters))
-	for s := range clusters {
+	tally := d.scratch.states
+	states := d.diag.clusterIDs[:0]
+	for s := range tally {
 		states = append(states, s)
 	}
-	sort.Ints(states)
+	slices.Sort(states)
+	d.diag.clusterIDs = states
+	rec.Clusters = make([]ClusterSize, 0, len(states))
 	for _, s := range states {
-		rec.Clusters = append(rec.Clusters, ClusterSize{State: s, Size: clusters[s]})
+		rec.Clusters = append(rec.Clusters, ClusterSize{State: s, Size: tally[s]})
 	}
 	if len(d.quarantined) > 0 {
 		rec.Quarantined = d.Quarantined()
@@ -284,7 +304,8 @@ func (d *Detector) decide(w network.Window, res StepResult) DecisionRecord {
 // evidence runs the §3.4 network analysis on the current B^CO and folds in
 // the attribute-divergence test; nil while no states are active.
 func (d *Detector) evidence(attrs map[int]vecmat.Vector) *DecisionEvidence {
-	diag, err := classify.Network(d.ModelCO(), attrs, d.cfg.Classify)
+	d.mco.EmissionView(&d.diag.co)
+	diag, err := d.diag.cls.Network(d.diag.co, attrs, d.cfg.Classify)
 	if err != nil {
 		return nil
 	}
@@ -313,6 +334,9 @@ func (d *Detector) evidence(attrs map[int]vecmat.Vector) *DecisionEvidence {
 			if math.Abs(div.Delta[i]) < d.cfg.Classify.ChangeMinDelta {
 				div.AllDisplaced = false
 			}
+		}
+		if ev.Divergence == nil {
+			ev.Divergence = make([]AttributeDivergence, 0, len(diag.Associations))
 		}
 		ev.Divergence = append(ev.Divergence, div)
 	}

@@ -250,3 +250,47 @@ func names(spans []obs.SpanData) []string {
 	}
 	return out
 }
+
+// TestDecisionAttrsFollowAdaptation pins that each record reads the model
+// states as they stand after its window's adaptation: the ID→centroid map
+// the diagnosis pass caches across a window must be rebuilt once the
+// states adapt, or the record's attributes and divergence deltas go stale.
+func TestDecisionAttrsFollowAdaptation(t *testing.T) {
+	ring := NewDecisionRing(1)
+	cfg := DefaultConfig(keyStates())
+	cfg.Decisions = ring
+	d, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	divergences := 0
+	for _, w := range snapshotTrace(t, 4) {
+		if _, err := d.Step(w); err != nil {
+			t.Fatal(err)
+		}
+		rec := ring.Records()[0]
+		if rec.Skipped {
+			continue
+		}
+		attrs := d.StateAttributes()
+		if !rec.ObservableAttrs.Equal(attrs[rec.Observable], 0) || !rec.CorrectAttrs.Equal(attrs[rec.Correct], 0) {
+			t.Fatalf("window %d: record attrs %v/%v, states now %v/%v", rec.Window,
+				rec.ObservableAttrs, rec.CorrectAttrs, attrs[rec.Observable], attrs[rec.Correct])
+		}
+		if rec.Evidence == nil {
+			continue
+		}
+		for _, dv := range rec.Evidence.Divergence {
+			for i, delta := range dv.Delta {
+				if want := attrs[dv.Symbol][i] - attrs[dv.Hidden][i]; delta != want {
+					t.Fatalf("window %d: divergence %d→%d delta %v, states give %v",
+						rec.Window, dv.Hidden, dv.Symbol, delta, want)
+				}
+			}
+			divergences++
+		}
+	}
+	if divergences == 0 || d.Tracks().Opened() == 0 {
+		t.Fatal("test is vacuous: no divergence evidence or no tracks")
+	}
+}

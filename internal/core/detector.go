@@ -68,6 +68,9 @@ type Detector struct {
 	// scratch holds the per-window working set, reused across Steps so the
 	// bare (uninstrumented) hot path allocates nothing in steady state.
 	scratch stepScratch
+	// diag is the reusable working set of the per-window diagnosis and
+	// provenance pass (refreshQuarantine, decide).
+	diag diagScratch
 
 	steps   int
 	skipped int
@@ -78,16 +81,37 @@ type Detector struct {
 // returned StepResult borrows the sensors map, which is why Step's result is
 // only valid until the next call (see StepResult).
 type stepScratch struct {
-	slot    map[int]int       // sensor ID → accumulation slot
-	ids     []int             // sensor IDs, sorted ascending after grouping
-	sums    []vecmat.Vector   // per-slot sum, then mean, of the window's readings
-	counts  []int             // per-slot reading count
-	points  []vecmat.Vector   // per-sensor means in ids order (aliases sums rows)
-	values  []vecmat.Vector   // non-quarantined raw readings for Eq. (2)
-	mapped  []int             // Eq. (3) assignment output
-	overall vecmat.Vector     // Eq. (2) network mean
-	states  map[int]int       // majority vote tally
+	slot    map[int]int        // sensor ID → accumulation slot
+	ids     []int              // sensor IDs, sorted ascending after grouping
+	sums    []vecmat.Vector    // per-slot sum, then mean, of the window's readings
+	counts  []int              // per-slot reading count
+	points  []vecmat.Vector    // per-sensor means in ids order (aliases sums rows)
+	values  []vecmat.Vector    // non-quarantined raw readings for Eq. (2)
+	mapped  []int              // Eq. (3) assignment output
+	overall vecmat.Vector      // Eq. (2) network mean
+	states  map[int]int        // majority vote tally
 	sensors map[int]SensorStep // StepResult.Sensors backing store
+}
+
+// diagScratch is the working set of the per-window structural analysis:
+// the quarantine diagnosis of open tracks and the decision record's B^CO
+// evidence. Only the Step path touches it — a single writer, since
+// core.Shared serialises Step and Report — and nothing a DecisionRecord or
+// Report retains points into it.
+type diagScratch struct {
+	co, ce hmm.Snapshot // emission views of M_CO and of one sensor's M_CE
+	cls    classify.Scratch
+	// attrs is the ID → centroid map of the current model states, shared
+	// by decide for window i and refreshQuarantine for window i+1, which
+	// see the same cluster set; attrsOK drops whenever the set adapts.
+	attrs   map[int]vecmat.Vector
+	attrsOK bool
+	// profile and profBuf back scratchProfile's map and vectors.
+	profile    classify.ErrorProfile
+	profBuf    []float64
+	kinds      map[int]classify.Kind
+	counts     map[classify.Kind]int
+	clusterIDs []int // decide's sorted cluster state IDs
 }
 
 // SensorStep is the per-sensor outcome of one window.
@@ -453,6 +477,7 @@ func (d *Detector) step(w network.Window, ev *obs.Event) (StepResult, error) {
 
 	// Model-state adaptation (Eqs. 5-6 + merge/spawn), with structural
 	// events replayed onto every estimator.
+	d.diag.attrsOK = false
 	events, err := d.states.Adapt(points, overall)
 	if err != nil {
 		return res, err
@@ -491,40 +516,42 @@ func (d *Detector) refreshQuarantine(window int) {
 		}
 		return
 	}
-	kinds := make(map[int]classify.Kind)
-	var attrs map[int]vecmat.Vector
+	sc := &d.diag
+	if sc.kinds == nil {
+		sc.kinds = make(map[int]classify.Kind)
+		sc.counts = make(map[classify.Kind]int)
+	} else {
+		clear(sc.kinds)
+		clear(sc.counts)
+	}
 	for _, tr := range d.tracks.ActiveTracks() {
 		if window-tr.Opened < d.cfg.QuarantineAfter {
 			continue
 		}
-		snap, ok := d.ModelCE(tr.Sensor)
+		est, ok := d.mce[tr.Sensor]
 		if !ok {
 			continue
 		}
-		if attrs == nil {
-			attrs = d.StateAttributes()
-		}
-		diag, err := classify.Sensor(tr.Sensor, snap, attrs, d.ErrorProfile(tr.Sensor), d.cfg.Classify)
+		est.EmissionView(&sc.ce)
+		diag, err := sc.cls.Sensor(tr.Sensor, sc.ce, d.stateAttrs(), d.scratchProfile(tr.Sensor), d.cfg.Classify)
 		if err != nil {
 			continue
 		}
 		if diag.Kind.IsError() {
-			kinds[tr.Sensor] = diag.Kind
+			sc.kinds[tr.Sensor] = diag.Kind
 		}
 	}
-	counts := make(map[classify.Kind]int)
-	for _, k := range kinds {
-		counts[k]++
+	for _, k := range sc.kinds {
+		sc.counts[k]++
 	}
-	next := make(map[int]bool, len(kinds))
-	for id, k := range kinds {
+	clear(d.quarantined)
+	for id, k := range sc.kinds {
 		if len(d.seen) > 0 &&
-			float64(counts[k])/float64(len(d.seen)) > d.cfg.QuarantineCoordinated {
+			float64(sc.counts[k])/float64(len(d.seen)) > d.cfg.QuarantineCoordinated {
 			continue
 		}
-		next[id] = true
+		d.quarantined[id] = true
 	}
-	d.quarantined = next
 }
 
 // Quarantined returns the sensors currently excluded from the observable
@@ -561,18 +588,47 @@ func (d *Detector) ErrorProfile(sensorID int) classify.ErrorProfile {
 	bySensor := d.profiles[sensorID]
 	out := make(classify.ErrorProfile, len(bySensor))
 	for hidden, rs := range bySensor {
-		st := classify.ErrorStats{
-			Mean: make(vecmat.Vector, len(rs)),
-			Std:  make(vecmat.Vector, len(rs)),
-		}
-		for i := range rs {
-			st.Mean[i] = rs[i].Mean()
-			st.Std[i] = rs[i].StdDev()
-			st.N = rs[i].N()
-		}
-		out[hidden] = st
+		out[hidden] = errorStats(rs, make(vecmat.Vector, len(rs)), make(vecmat.Vector, len(rs)))
 	}
 	return out
+}
+
+// scratchProfile is ErrorProfile built in the diagnosis scratch: the map
+// and its vectors are reused, valid until the next call.
+func (d *Detector) scratchProfile(sensorID int) classify.ErrorProfile {
+	sc := &d.diag
+	bySensor := d.profiles[sensorID]
+	if sc.profile == nil {
+		sc.profile = make(classify.ErrorProfile, len(bySensor))
+	} else {
+		clear(sc.profile)
+	}
+	need := 0
+	for _, rs := range bySensor {
+		need += 2 * len(rs)
+	}
+	if cap(sc.profBuf) < need {
+		sc.profBuf = make([]float64, need)
+	}
+	buf := sc.profBuf[:need]
+	for hidden, rs := range bySensor {
+		n := len(rs)
+		sc.profile[hidden] = errorStats(rs, buf[:n:n], buf[n:2*n:2*n])
+		buf = buf[2*n:]
+	}
+	return sc.profile
+}
+
+// errorStats summarises one hidden state's running statistics into the
+// given mean and std vectors (each len(rs) long).
+func errorStats(rs []runstats.Running, mean, std vecmat.Vector) classify.ErrorStats {
+	st := classify.ErrorStats{Mean: mean, Std: std}
+	for i := range rs {
+		st.Mean[i] = rs[i].Mean()
+		st.Std[i] = rs[i].StdDev()
+		st.N = rs[i].N()
+	}
+	return st
 }
 
 // ce returns (building lazily) the M_CE estimator for a sensor.
@@ -811,6 +867,25 @@ func (d *Detector) SkippedWindows() int { return d.skipped }
 
 // States returns the current model states.
 func (d *Detector) States() []cluster.State { return d.states.States() }
+
+// stateAttrs is StateAttributes for the Step path: the map is built once
+// per cluster-set version in the diagnosis scratch and must not be
+// modified or retained.
+func (d *Detector) stateAttrs() map[int]vecmat.Vector {
+	sc := &d.diag
+	if !sc.attrsOK {
+		if sc.attrs == nil {
+			sc.attrs = make(map[int]vecmat.Vector)
+		} else {
+			clear(sc.attrs)
+		}
+		for _, s := range d.states.States() {
+			sc.attrs[s.ID] = s.Centroid
+		}
+		sc.attrsOK = true
+	}
+	return sc.attrs
+}
 
 // StateAttributes returns the attribute vector of every current model state,
 // keyed by state ID.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"sensorguard/internal/gdi"
 	"sensorguard/internal/ingest"
 	"sensorguard/internal/obs"
+	"sensorguard/internal/sensor"
 )
 
 // durableConfig is the pool configuration every recovery test shares; the
@@ -441,6 +443,78 @@ func TestStatusStates(t *testing.T) {
 	if !st.Bootstrapped {
 		t.Error("final status not bootstrapped")
 	}
+}
+
+// TestInvalidReadingsNeverAcknowledged submits readings the journal could
+// not replay — no values, a negative time, a NaN — between valid ones, then
+// crashes and recovers. Each must be refused with *ingest.InvalidReadingError
+// in both durability modes; before that check, a durable pool acknowledged
+// them, and replay stopped at the first one, losing every acknowledged
+// reading behind it.
+func TestInvalidReadingsNeverAcknowledged(t *testing.T) {
+	tr := stuckTrace(t, 1)
+	bad := map[uint64]ingest.Reading{
+		5: {Reading: sensor.Reading{Sensor: 1, Time: time.Minute}},
+		6: {Reading: sensor.Reading{Sensor: 1, Time: -time.Minute, Values: []float64{20, 50}}},
+		7: {Reading: sensor.Reading{Sensor: 1, Time: time.Minute, Values: []float64{math.NaN(), 50}}},
+	}
+	const last = 12
+	submit := func(t *testing.T, p *Pool) {
+		t.Helper()
+		for seq := uint64(1); seq <= last; seq++ {
+			r, invalid := bad[seq]
+			if !invalid {
+				r = ingest.Reading{Reading: tr.Readings[seq]}
+			}
+			r.Deployment, r.Seq = "alpha", seq
+			err := p.Submit(r)
+			var ire *ingest.InvalidReadingError
+			switch {
+			case invalid && !errors.As(err, &ire):
+				t.Fatalf("seq %d: invalid reading got %v, want *ingest.InvalidReadingError", seq, err)
+			case !invalid && err != nil:
+				t.Fatalf("seq %d: %v", seq, err)
+			}
+		}
+		if _, _, err := p.SubmitBatch([]ingest.Reading{bad[5]}); err == nil {
+			t.Fatal("SubmitBatch acknowledged a reading with no values")
+		}
+	}
+	lastWireSeq := func(p *Pool) uint64 {
+		s := p.shards[shardIndex("alpha", len(p.shards))]
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.deployments["alpha"].lastWireSeq
+	}
+
+	t.Run("in-memory", func(t *testing.T) {
+		pool, err := New(Config{Shards: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		submit(t, pool)
+		pool.Drain()
+		if got := lastWireSeq(pool); got != last {
+			t.Fatalf("lastWireSeq %d, want %d", got, last)
+		}
+	})
+	t.Run("durable-crash-recovery", func(t *testing.T) {
+		dir := t.TempDir()
+		first, err := New(durableConfig(dir, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		submit(t, first)
+		first.abort()
+		second, err := New(durableConfig(dir, true))
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		second.Drain()
+		if got := lastWireSeq(second); got != last {
+			t.Fatalf("recovered lastWireSeq %d, want %d: acknowledged readings lost", got, last)
+		}
+	})
 }
 
 // TestJournalRoundTrip exercises the segment codec directly: entries written

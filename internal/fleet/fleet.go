@@ -324,11 +324,12 @@ func shardIndex(deployment string, n int) int {
 	return int(h % uint32(n))
 }
 
-// Submit routes one reading to its deployment's shard. It returns ErrClosed
-// after Drain, ingest.ErrDropped when the DropNewest policy sheds the
-// reading, and otherwise blocks until the shard accepts it. With durability
-// on, the reading is journaled before it is enqueued — once Submit returns
-// nil, a crash cannot lose the reading.
+// Submit routes one reading to its deployment's shard. It returns an
+// *ingest.InvalidReadingError for a reading that fails
+// ingest.Reading.Validate, ErrClosed after Drain, ingest.ErrDropped when the
+// DropNewest policy sheds the reading, and otherwise blocks until the shard
+// accepts it. With durability on, the reading is journaled before it is
+// enqueued — once Submit returns nil, a crash cannot lose the reading.
 func (p *Pool) Submit(r ingest.Reading) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -342,9 +343,9 @@ func (p *Pool) Submit(r ingest.Reading) error {
 // acquisition — the staged path the parallel binary decoder feeds whole
 // frames through (it makes Pool an ingest.BatchConsumer). Readings route to
 // their shards exactly as Submit would: accepted counts enqueued readings,
-// dropped those shed by the overflow policy. A terminal error (shutdown, a
-// malformed journal entry) stops the batch where it stands; the counts cover
-// the prefix processed before it.
+// dropped those shed by the overflow policy. A terminal error (shutdown, an
+// invalid reading) stops the batch where it stands; the counts cover the
+// prefix processed before it.
 func (p *Pool) SubmitBatch(rs []ingest.Reading) (accepted, dropped int, err error) {
 	if len(rs) == 0 {
 		return 0, 0, nil
@@ -370,6 +371,9 @@ func (p *Pool) SubmitBatch(rs []ingest.Reading) (accepted, dropped int, err erro
 // submitLocked routes one reading to its shard; the caller holds p.mu.RLock
 // and has checked p.closed.
 func (p *Pool) submitLocked(r ingest.Reading) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
 	s := p.shards[shardIndex(r.Deployment, len(p.shards))]
 	if s.dur != nil {
 		return p.submitDurable(s, r)
@@ -429,7 +433,8 @@ func (p *Pool) submitDurable(s *shard, r ingest.Reading) error {
 	jsp.SetInt("seq", int64(seq))
 	jsp.End()
 	if err != nil {
-		// Only a malformed reading errors; disk faults degrade instead.
+		// Only an unencodable entry errors, and Validate already ruled
+		// those out; disk faults degrade instead.
 		<-s.slots
 		return fmt.Errorf("fleet: journal: %w", err)
 	}

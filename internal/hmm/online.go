@@ -17,6 +17,7 @@ package hmm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sensorguard/internal/vecmat"
@@ -284,31 +285,67 @@ func (o *Online) Steps() int { return o.steps }
 // follow ascending ID order, so snapshots are directly comparable across
 // calls regardless of internal registration order.
 func (o *Online) Snapshot() Snapshot {
-	hid := o.HiddenIDs()
-	sym := o.SymbolIDs()
-	a := vecmat.NewMatrix(len(hid), len(hid))
-	b := vecmat.NewMatrix(len(hid), len(sym))
-	for i, hi := range hid {
-		ri := o.hiddenIdx[hi]
-		for j, hj := range hid {
-			a.Set(i, j, o.a.At(ri, o.hiddenIdx[hj]))
-		}
-		for j, sj := range sym {
-			b.Set(i, j, o.b.At(ri, o.symbolIdx[sj]))
+	var s Snapshot
+	o.EmissionView(&s)
+	n := len(s.HiddenIDs)
+	s.A = vecmat.NewMatrix(n, n)
+	for i, ri := range s.rowOf {
+		for j, rj := range s.rowOf {
+			s.A.Set(i, j, o.a.At(ri, rj))
 		}
 	}
-	visits := make(map[int]float64, len(hid))
-	for _, h := range hid {
-		visits[h] = o.visits[h]
+	s.Emissions = make(map[int]float64, len(s.SymbolIDs))
+	for _, id := range s.SymbolIDs {
+		s.Emissions[id] = o.emits[id]
 	}
-	emits := make(map[int]float64, len(sym))
-	for _, s := range sym {
-		emits[s] = o.emits[s]
-	}
-	return Snapshot{HiddenIDs: hid, SymbolIDs: sym, A: a, B: b, Visits: visits, Emissions: emits}
+	s.rowOf, s.colOf = nil, nil
+	return s
 }
 
-// Snapshot is an immutable, ID-ordered view of an Online estimator.
+// EmissionView fills v with the ID-ordered emission side of the estimator —
+// HiddenIDs, SymbolIDs, B and Visits, everything the §3.4 structural
+// analysis reads — and leaves A and Emissions nil. It reuses v's storage,
+// so a caller that keeps one view across windows allocates only when the
+// alphabet outgrows it. The view is overwritten by the next call with the
+// same v; use Snapshot for an independent copy.
+func (o *Online) EmissionView(v *Snapshot) {
+	v.HiddenIDs = append(v.HiddenIDs[:0], o.hiddenIDs...)
+	slices.Sort(v.HiddenIDs)
+	v.SymbolIDs = append(v.SymbolIDs[:0], o.symbolIDs...)
+	slices.Sort(v.SymbolIDs)
+	// Resolve the ID order to internal row/column positions once, so the
+	// copy loop below indexes B directly.
+	v.rowOf = v.rowOf[:0]
+	for _, id := range v.HiddenIDs {
+		v.rowOf = append(v.rowOf, o.hiddenIdx[id])
+	}
+	v.colOf = v.colOf[:0]
+	for _, id := range v.SymbolIDs {
+		v.colOf = append(v.colOf, o.symbolIdx[id])
+	}
+	if v.B == nil {
+		v.B = new(vecmat.Matrix)
+	}
+	v.B.Reshape(len(v.rowOf), len(v.colOf))
+	for i, ri := range v.rowOf {
+		for j, cj := range v.colOf {
+			v.B.Set(i, j, o.b.At(ri, cj))
+		}
+	}
+	if v.Visits == nil {
+		v.Visits = make(map[int]float64, len(v.HiddenIDs))
+	} else {
+		clear(v.Visits)
+	}
+	for _, id := range v.HiddenIDs {
+		v.Visits[id] = o.visits[id]
+	}
+	v.A, v.Emissions = nil, nil
+}
+
+// Snapshot is an ID-ordered view of an Online estimator. One returned by
+// Online.Snapshot is an independent copy; one filled by EmissionView is
+// overwritten by the next fill.
 type Snapshot struct {
 	HiddenIDs []int
 	SymbolIDs []int
@@ -316,6 +353,10 @@ type Snapshot struct {
 	B         *vecmat.Matrix // rows by HiddenIDs, cols by SymbolIDs
 	Visits    map[int]float64
 	Emissions map[int]float64
+
+	// rowOf and colOf map view positions to the estimator's internal
+	// row/column indices; EmissionView's reusable scratch.
+	rowOf, colOf []int
 }
 
 // HiddenIndex returns the row position of a hidden ID in the snapshot.

@@ -404,7 +404,7 @@ func decodeFramePayload(payload []byte) ([]Reading, int, error) {
 	rejected := 0
 	kept := readings[:0]
 	for _, rd := range readings {
-		if !validReading(rd) {
+		if rd.Validate() != nil {
 			rejected++
 			continue
 		}
@@ -413,21 +413,8 @@ func decodeFramePayload(payload []byte) ([]Reading, int, error) {
 	return kept, rejected, nil
 }
 
-// validReading applies the semantic checks shared with the NDJSON codec.
-func validReading(r Reading) bool {
-	if r.Time < 0 {
-		return false
-	}
-	for _, v := range r.Values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return len(r.Values) > 0
-}
-
 // readingEqual reports semantic equality of two readings (used by the fuzz
-// round-trip; NaN-free by construction since validReading already ran).
+// round-trip; NaN-free by construction since Validate already ran).
 func readingEqual(a, b Reading) bool {
 	if a.Deployment != b.Deployment || a.Seq != b.Seq || a.Sensor != b.Sensor || a.Time != b.Time {
 		return false

@@ -59,10 +59,44 @@ type wireReading struct {
 	Values     []float64 `json:"values"`
 }
 
-// DecodeLine parses one NDJSON line into a Reading, validating that the
-// timestamp is finite, non-negative, and representable, and that every
-// attribute value is finite (NaN/Inf would silently poison the detector's
-// running means).
+// InvalidReadingError reports a reading that fails Reading.Validate.
+type InvalidReadingError struct {
+	// Reason names the failed check.
+	Reason string
+}
+
+func (e *InvalidReadingError) Error() string { return "ingest: invalid reading: " + e.Reason }
+
+var (
+	errNegativeTime = &InvalidReadingError{Reason: "negative time"}
+	errNoValues     = &InvalidReadingError{Reason: "no values"}
+	errNonFinite    = &InvalidReadingError{Reason: "non-finite value"}
+)
+
+// Validate applies the semantic checks both codecs and the fleet pool share:
+// a non-negative time and at least one value, every value finite. NaN or
+// Inf would silently poison the detector's running means, and the durable
+// journal's replay stops at an entry with no values or a negative time, so
+// a reading failing here is never acknowledged. The error is an
+// *InvalidReadingError.
+func (r Reading) Validate() error {
+	if r.Time < 0 {
+		return errNegativeTime
+	}
+	if len(r.Values) == 0 {
+		return errNoValues
+	}
+	for _, v := range r.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errNonFinite
+		}
+	}
+	return nil
+}
+
+// DecodeLine parses one NDJSON line into a Reading, checking that the
+// timestamp is finite and representable and that the reading passes
+// Validate.
 func DecodeLine(line []byte) (Reading, error) {
 	var w wireReading
 	if err := json.Unmarshal(line, &w); err != nil {
@@ -71,19 +105,11 @@ func DecodeLine(line []byte) (Reading, error) {
 	if math.IsNaN(w.TimeS) || math.IsInf(w.TimeS, 0) || w.TimeS < 0 || w.TimeS > maxSeconds {
 		return Reading{}, fmt.Errorf("ingest: time_s %v outside [0, %g]", w.TimeS, maxSeconds)
 	}
-	if len(w.Values) == 0 {
-		return Reading{}, errors.New("ingest: reading needs at least one value")
-	}
-	for i, v := range w.Values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Reading{}, fmt.Errorf("ingest: value %d is not finite", i)
-		}
-	}
 	dep := w.Deployment
 	if dep == "" {
 		dep = DefaultDeployment
 	}
-	return Reading{
+	r := Reading{
 		Deployment: dep,
 		Seq:        w.Seq,
 		Reading: sensor.Reading{
@@ -91,7 +117,11 @@ func DecodeLine(line []byte) (Reading, error) {
 			Time:   time.Duration(w.TimeS * float64(time.Second)),
 			Values: vecmat.Vector(w.Values),
 		},
-	}, nil
+	}
+	if err := r.Validate(); err != nil {
+		return Reading{}, err
+	}
+	return r, nil
 }
 
 // EncodeLine renders a Reading as one NDJSON line (no trailing newline).

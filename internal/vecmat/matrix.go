@@ -31,6 +31,20 @@ func Identity(n int) *Matrix {
 	return m
 }
 
+// Reshape turns m into a zero rows×cols matrix, reusing its storage when it
+// is large enough. Per-window scratch matrices are refilled this way instead
+// of being reallocated; the zero Matrix is a valid receiver.
+func (m *Matrix) Reshape(rows, cols int) {
+	n := rows * cols
+	if cap(m.data) < n {
+		m.data = make([]float64, n)
+	} else {
+		m.data = m.data[:n]
+		clear(m.data)
+	}
+	m.rows, m.cols = rows, cols
+}
+
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
