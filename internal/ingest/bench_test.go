@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -20,6 +22,63 @@ func BenchmarkDecodeLine(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDecodeLineFallback is BenchmarkDecodeLine's reading with an
+// escaped deployment name, which the single-pass decoder hands to
+// encoding/json: the gap between the two is the fast path's saving.
+func BenchmarkDecodeLineFallback(b *testing.B) {
+	line := []byte(`{"deployment":"gdi-field\u002d7","seq":12345,"sensor":3,"time_s":86400.5,"values":[12.5,94.0]}`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeLine(line); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ndjsonBody renders a servebench-shaped batch: n EncodeLine lines spread
+// round-robin over 8 deployments, each carrying a seq and two attributes.
+func ndjsonBody(tb testing.TB, n int) []byte {
+	var body bytes.Buffer
+	for i := 0; i < n; i++ {
+		r := Reading{Deployment: fmt.Sprintf("gdi-%02d", i%8), Seq: uint64(i/8 + 1)}
+		r.Sensor = i % 10
+		r.Time = time.Duration(i) * 300 * time.Second
+		r.Values = vecmat.Vector{12.5 + float64(i%7)/4, 94.0 - float64(i%5)/8}
+		line, err := EncodeLine(r)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		body.Write(line)
+		body.WriteByte('\n')
+	}
+	return body.Bytes()
+}
+
+// discard is a Consumer that keeps nothing.
+type discard struct{}
+
+func (discard) Submit(Reading) error { return nil }
+
+// BenchmarkReadStreamNDJSON measures ReadStream over one 500-line NDJSON
+// body, the batch an HTTP shipper posts: line splitting, decode and
+// submission to a consumer that keeps nothing.
+func BenchmarkReadStreamNDJSON(b *testing.B) {
+	const lines = 500
+	body := ndjsonBody(b, lines)
+	r := bytes.NewReader(body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(body)
+		st, err := ReadStream(r, discard{}, StreamOptions{})
+		if err != nil || st.Accepted != lines {
+			b.Fatalf("stats %+v err %v", st, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
 }
 
 // BenchmarkWindowerAdd measures the streaming windower's per-reading cost on

@@ -22,9 +22,8 @@ import (
 // deployment key.
 const DefaultDeployment = "default"
 
-// maxSeconds bounds wire timestamps to what time.Duration can hold
-// (~292 years of deployment uptime) so the seconds→Duration conversion
-// cannot overflow into implementation-defined territory.
+// maxSeconds is the time.Duration range in seconds (~292 years of deployment
+// uptime), the bound a rejected time_s is reported against.
 const maxSeconds = float64(math.MaxInt64) / float64(time.Second)
 
 // Reading is one wire message: a sensor reading tagged with the deployment
@@ -96,13 +95,32 @@ func (r Reading) Validate() error {
 
 // DecodeLine parses one NDJSON line into a Reading, checking that the
 // timestamp is finite and representable and that the reading passes
-// Validate.
+// Validate. A line in the form EncodeLine writes takes the single-pass
+// decoder; any other line is decoded by encoding/json, with the same result.
 func DecodeLine(line []byte) (Reading, error) {
+	var d lineDecoder
+	return d.decode(line)
+}
+
+// decodeJSON is the encoding/json path: the only decoder for non-canonical
+// lines (see lineDecoder) and the reference the single-pass decoder is
+// tested against.
+func decodeJSON(line []byte) (wireReading, error) {
 	var w wireReading
 	if err := json.Unmarshal(line, &w); err != nil {
-		return Reading{}, fmt.Errorf("ingest: bad JSON: %w", err)
+		return wireReading{}, fmt.Errorf("ingest: bad JSON: %w", err)
 	}
-	if math.IsNaN(w.TimeS) || math.IsInf(w.TimeS, 0) || w.TimeS < 0 || w.TimeS > maxSeconds {
+	return w, nil
+}
+
+// reading applies the checks both NDJSON decode paths share: a timestamp
+// that time.Duration can hold, the default deployment, and Validate.
+func (w wireReading) reading() (Reading, error) {
+	// The bound is on the nanosecond product: maxSeconds itself times 1e9
+	// rounds to 2^63, whose conversion to time.Duration is
+	// implementation-defined (negative on amd64, saturated on arm64).
+	ns := w.TimeS * float64(time.Second)
+	if math.IsNaN(w.TimeS) || w.TimeS < 0 || ns >= 1<<63 {
 		return Reading{}, fmt.Errorf("ingest: time_s %v outside [0, %g]", w.TimeS, maxSeconds)
 	}
 	dep := w.Deployment
@@ -114,7 +132,7 @@ func DecodeLine(line []byte) (Reading, error) {
 		Seq:        w.Seq,
 		Reading: sensor.Reading{
 			Sensor: w.Sensor,
-			Time:   time.Duration(w.TimeS * float64(time.Second)),
+			Time:   time.Duration(ns),
 			Values: vecmat.Vector(w.Values),
 		},
 	}

@@ -40,18 +40,33 @@ func TestDecodeLineDefaultsDeployment(t *testing.T) {
 	}
 }
 
+// rejectLines are NDJSON lines DecodeLine must refuse (FuzzDecodeLine seeds
+// from them too).
+var rejectLines = map[string]string{
+	"not json":       `sensor,5,1`,
+	"inf time":       `{"sensor":1,"time_s":1e999,"values":[1]}`,
+	"negative time":  `{"sensor":1,"time_s":-5,"values":[1]}`,
+	"overflow time":  `{"sensor":1,"time_s":1e300,"values":[1]}`,
+	"no values":      `{"sensor":1,"time_s":5,"values":[]}`,
+	"missing values": `{"sensor":1,"time_s":5}`,
+	"inf value":      `{"sensor":1,"time_s":5,"values":[1e999]}`,
+	"float sensor":   `{"sensor":1.0,"time_s":5,"values":[1]}`,
+	"negative seq":   `{"seq":-1,"sensor":1,"time_s":5,"values":[1]}`,
+	"leading zero":   `{"seq":01,"sensor":1,"time_s":5,"values":[1]}`,
+	"bare fraction":  `{"sensor":1,"time_s":5.,"values":[1]}`,
+	"trailing comma": `{"sensor":1,"time_s":5,"values":[1,]}`,
+	"trailing bytes": `{"sensor":1,"time_s":5,"values":[1]}x`,
+}
+
 func TestDecodeLineRejects(t *testing.T) {
-	for name, line := range map[string]string{
-		"not json":       `sensor,5,1`,
-		"inf time":       `{"sensor":1,"time_s":1e999,"values":[1]}`,
-		"negative time":  `{"sensor":1,"time_s":-5,"values":[1]}`,
-		"overflow time":  `{"sensor":1,"time_s":1e300,"values":[1]}`,
-		"no values":      `{"sensor":1,"time_s":5,"values":[]}`,
-		"missing values": `{"sensor":1,"time_s":5}`,
-		"inf value":      `{"sensor":1,"time_s":5,"values":[1e999]}`,
-	} {
-		if _, err := DecodeLine([]byte(line)); err == nil {
+	for name, line := range rejectLines {
+		_, err := DecodeLine([]byte(line))
+		if err == nil {
 			t.Errorf("%s: accepted %s", name, line)
+			continue
+		}
+		if _, want := referenceDecode([]byte(line)); want == nil || err.Error() != want.Error() {
+			t.Errorf("%s: error %q, encoding/json gives %v", name, err, want)
 		}
 	}
 }

@@ -172,7 +172,9 @@ func trimEOL(b []byte) []byte {
 	return b
 }
 
-// readLines is ReadStream's NDJSON codec.
+// readLines is ReadStream's NDJSON codec. One lineDecoder serves the whole
+// stream, so its deployment names are interned and its values vectors are
+// carved from shared slabs.
 func readLines(br *bufio.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
 	span := startDecodeSpan(o)
 	ctx := span.Context()
@@ -186,6 +188,7 @@ func readLines(br *bufio.Reader, c Consumer, o StreamOptions) (StreamStats, erro
 		}
 	}
 	lr := lineReader{br: br}
+	dec := newStreamDecoder()
 	lineNo := 0
 	for {
 		line, oversize, rerr := lr.next()
@@ -210,13 +213,13 @@ func readLines(br *bufio.Reader, c Consumer, o StreamOptions) (StreamStats, erro
 		var err error
 		if o.Decode != nil {
 			t0 := time.Now()
-			rd, err = DecodeLine(line)
+			rd, err = dec.decode(line)
 			busy += time.Since(t0)
 			if lines++; lines >= decodeFlushEvery {
 				flushClock()
 			}
 		} else {
-			rd, err = DecodeLine(line)
+			rd, err = dec.decode(line)
 		}
 		if err != nil {
 			st.Rejected++
