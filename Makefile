@@ -1,8 +1,6 @@
 GO ?= go
-BENCHSTAT ?= $(GO) run golang.org/x/perf/cmd/benchstat@latest
-TRAJECTORY ?= bench/trajectory.json
 
-.PHONY: build test race lint bench bench-smoke bench-record bench-compare scenarios scenarios-smoke chaos servebench-test
+.PHONY: build test race lint bench-smoke scenarios scenarios-smoke chaos servebench-test
 
 build:
 	$(GO) build ./...
@@ -26,28 +24,21 @@ lint:
 		exit 1; \
 	fi
 
-# bench refreshes the committed trajectory files. Run on a quiet machine;
-# bench/seed_*.txt stay frozen at the numbers measured before the hot-path
-# pass.
-bench:
-	$(GO) test -run xxx -bench 'BenchmarkStep$$|BenchmarkStepWithTrackedSensor' -count 3 ./internal/core > bench/after_core.txt
-	$(GO) test -run xxx -bench IngestThroughput -count 3 -benchtime 2s ./internal/fleet > bench/after_fleet.txt
-
-# bench-smoke is the CI step: a short fixed sgbench workload that proves the
-# harness runs and the bare detector step is still zero-alloc, and leaves
-# BENCH_hotpath.json for the artifact upload.
+# bench-smoke is the CI performance gate: one short traced servebench run
+# (BENCHMARK.json's benchmark, servebench/RESULTS.md) that must pass the
+# output check, keep the bare detector step zero-alloc and keep frame decode
+# cheaper per reading than NDJSON decode. Its JSON result is the last line of
+# .bench_build/smoke.out.
 bench-smoke:
-	$(GO) run ./cmd/sgbench -days 1 -passes 10 -shards 1,4 -out BENCH_hotpath.json
-
-# bench-record runs the standard sgbench workload and appends one summary
-# entry (commit, cpus, readings/sec, decode ns/line in both codecs, step
-# p50/p99) to the committed perf trajectory, so the throughput curve travels
-# with history. A second run under -maxprocs 4 appends the multi-core point
-# (the frame-decode pool sizes itself off GOMAXPROCS). Run on a quiet
-# machine; override TRAJECTORY=/tmp/t.json for a dry run.
-bench-record:
-	$(GO) run ./cmd/sgbench -days 1 -passes 20 -shards 1,4 -out BENCH_hotpath.json -record $(TRAJECTORY)
-	$(GO) run ./cmd/sgbench -days 1 -passes 20 -shards 1,4 -maxprocs 4 -out /tmp/BENCH_multicore.json -record $(TRAJECTORY)
+	mkdir -p .bench_build
+	bash servebench/run.sh --workload frame-tcp-journal --seed 1 --seconds 2 --trace 1 > .bench_build/smoke.out
+	@python3 -c "import json,sys; r=json.loads(open('.bench_build/smoke.out').read().splitlines()[-1]); \
+		m={k: v['value'] for k, v in r['metrics'].items()}; \
+		nd, fr = m['ingest.ndjson_solo_ns'], m['ingest.frame_solo_ns']; \
+		print('bench-smoke: correct %s, failed %d, core.step_allocs %g, frame %.1f vs NDJSON %.1f ns/reading (%.1fx)' % (r['correct'], r['failed'], m['core.step_allocs'], fr, nd, nd / fr)); \
+		bad=[c for c, ok in (('correct', r['correct'] is True), ('failed == 0', r['failed'] == 0), \
+			('core.step_allocs == 0', m['core.step_allocs'] == 0), ('frame_solo_ns < ndjson_solo_ns', fr < nd)) if not ok]; \
+		sys.exit('bench-smoke failed: ' + ', '.join(bad) if bad else 0)"
 
 # scenarios refreshes the committed adversary-simulation corpus report:
 # every labeled campaign in internal/scenario streamed over a real HTTP
@@ -77,9 +68,3 @@ chaos:
 # this catches an API change that would break the benchmark.
 servebench-test:
 	cd servebench && $(GO) vet ./... && $(GO) test ./...
-
-# bench-compare diffs the committed seed and after trajectories with
-# benchstat (fetches benchstat on first use; needs network).
-bench-compare:
-	$(BENCHSTAT) bench/seed_core.txt bench/after_core.txt
-	$(BENCHSTAT) bench/seed_fleet.txt bench/after_fleet.txt

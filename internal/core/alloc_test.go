@@ -2,8 +2,12 @@ package core
 
 import (
 	"io"
+	"math/rand"
 	"testing"
+	"time"
 
+	"sensorguard/internal/cluster"
+	"sensorguard/internal/gdi"
 	"sensorguard/internal/network"
 	"sensorguard/internal/vecmat"
 )
@@ -12,28 +16,68 @@ import (
 // detector's scratch space has grown to the window's working-set size, the
 // bare (uninstrumented) Step allocates nothing. A regression here silently
 // re-taxes every window of every deployment, so it fails loudly instead.
+// Two inputs: synthetic windows of identical readings at the key states,
+// and a generated GDI day stepped the way a fleet shard steps it (k-means
+// seeds over the first 24 h, 1 h windows), whose windows hold many spread
+// readings per sensor, so scratch space that grows with window size is
+// covered too.
 func TestStepZeroAllocSteadyState(t *testing.T) {
-	d, err := NewDetector(DefaultConfig(keyStates()))
+	t.Run("uniform", func(t *testing.T) {
+		points := keyStates()
+		wins := make([]network.Window, 4)
+		for i := range wins {
+			wins[i] = uniformWindow(i, 10, points[i])
+		}
+		// Warm up: grow scratch buffers, visit every key state, let the
+		// cluster set settle.
+		assertStepZeroAlloc(t, DefaultConfig(keyStates()), wins, 128)
+	})
+	t.Run("gdi", func(t *testing.T) {
+		gcfg := gdi.DefaultGenerateConfig()
+		gcfg.Days = 1
+		tr, err := gdi.Generate(gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var points []vecmat.Vector
+		for _, r := range tr.Readings {
+			if r.Time < 24*time.Hour {
+				points = append(points, r.Values)
+			}
+		}
+		seeds, err := cluster.KMeans(points, 6, rand.New(rand.NewSource(1)), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(seeds)
+		cfg.Window = time.Hour
+		wins, err := network.WindowAll(tr.Readings, time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm up over one full replay of the trace.
+		assertStepZeroAlloc(t, cfg, wins, len(wins))
+	})
+}
+
+// assertStepZeroAlloc steps a detector built from cfg through wins in a
+// loop, warmup windows first, and fails if a further window allocates.
+func assertStepZeroAlloc(t *testing.T, cfg Config, wins []network.Window, warmup int) {
+	t.Helper()
+	d, err := NewDetector(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := keyStates()
-	wins := make([]network.Window, 4)
-	for i := range wins {
-		wins[i] = uniformWindow(i, 10, points[i])
-	}
 	idx := 0
 	step := func() {
-		w := wins[idx%4]
+		w := wins[idx%len(wins)]
 		w.Index = idx
 		if _, err := d.Step(w); err != nil {
 			t.Fatal(err)
 		}
 		idx++
 	}
-	// Warm up: grow scratch buffers, visit every key state, let the
-	// cluster set settle.
-	for i := 0; i < 128; i++ {
+	for i := 0; i < warmup; i++ {
 		step()
 	}
 	if got := testing.AllocsPerRun(500, step); got != 0 {

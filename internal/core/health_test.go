@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -257,8 +258,11 @@ func TestSharedRefreshDrift(t *testing.T) {
 
 // TestStepHealthOverhead pins the acceptance bound from the health tier:
 // folding the sample into the tracker must cost < 5% of a steady-state Step.
-// Interleaved median-of-trials keeps scheduler noise from deciding the
-// verdict on loaded CI machines.
+// One detector runs many short slices in pairs, one slice with the tracker
+// detached and one with it attached, alternating which runs first. The
+// verdict is the median of the paired ratios, so a scheduler stall or a
+// frequency shift lands on one pair instead of tilting a whole side, and
+// both sides share the same detector state and memory layout.
 func TestStepHealthOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -266,64 +270,53 @@ func TestStepHealthOverhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation distorts the overhead ratio")
 	}
+	d := mustDetector(t)
+	tracker := obs.NewHealthTracker(obs.HealthConfig{})
 	points := keyStates()
-	run := func(d *Detector, wins []network.Window, n int) time.Duration {
+	wins := make([]network.Window, 4)
+	for i := range wins {
+		wins[i] = uniformWindow(i, 10, points[i])
+	}
+	idx := 0
+	run := func(h *obs.HealthTracker, n int) time.Duration {
+		d.SetHealthTracker(h)
 		start := time.Now()
 		for i := 0; i < n; i++ {
-			w := wins[i%4]
-			w.Index = 1000 + i
+			w := wins[idx%len(wins)]
+			w.Index = idx
+			idx++
 			if _, err := d.Step(w); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return time.Since(start)
 	}
-	build := func(withTracker bool) (*Detector, []network.Window) {
-		d := mustDetector(t)
-		if withTracker {
-			d.SetHealthTracker(obs.NewHealthTracker(obs.HealthConfig{}))
-		}
-		wins := make([]network.Window, 4)
-		for i := range wins {
-			wins[i] = uniformWindow(i, 10, points[i])
-		}
-		for i := 0; i < 256; i++ {
-			w := wins[i%4]
-			w.Index = i
-			if _, err := d.Step(w); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return d, wins
-	}
-	bare, bareWins := build(false)
-	tracked, trackedWins := build(true)
+	// Warm-up: grow scratch buffers and let the cluster set settle.
+	run(tracker, 256)
 
-	const batch = 20000
-	const trials = 7
-	bareT := make([]time.Duration, trials)
-	trackT := make([]time.Duration, trials)
-	for i := 0; i < trials; i++ {
-		bareT[i] = run(bare, bareWins, batch)
-		trackT[i] = run(tracked, trackedWins, batch)
-	}
-	median := func(ds []time.Duration) time.Duration {
-		s := append([]time.Duration(nil), ds...)
-		for i := range s {
-			for j := i + 1; j < len(s); j++ {
-				if s[j] < s[i] {
-					s[i], s[j] = s[j], s[i]
-				}
-			}
+	const slice = 200
+	const pairs = 401
+	ratios := make([]float64, pairs)
+	var bareSum, trackSum time.Duration
+	for i := range ratios {
+		var b, tr time.Duration
+		if i%2 == 0 {
+			b = run(nil, slice)
+			tr = run(tracker, slice)
+		} else {
+			tr = run(tracker, slice)
+			b = run(nil, slice)
 		}
-		return s[len(s)/2]
+		ratios[i] = float64(tr) / float64(b)
+		bareSum += b
+		trackSum += tr
 	}
-	mb, mt := median(bareT), median(trackT)
-	ratio := float64(mt) / float64(mb)
-	t.Logf("steady-state Step: bare %v, with tracker %v (%.2f%% overhead)",
-		mb/batch, mt/batch, (ratio-1)*100)
+	sort.Float64s(ratios)
+	ratio := ratios[pairs/2]
+	t.Logf("steady-state Step: bare %v, with tracker %v; median paired overhead %.2f%% (quartiles %.2f%%, %.2f%%)",
+		bareSum/(pairs*slice), trackSum/(pairs*slice), (ratio-1)*100,
+		(ratios[pairs/4]-1)*100, (ratios[3*pairs/4]-1)*100)
 	if ratio > 1.05 {
-		t.Fatalf("health tracker overhead %.2f%% exceeds 5%% budget (bare %v, tracked %v)",
-			(ratio-1)*100, mb, mt)
+		t.Fatalf("health tracker overhead %.2f%% exceeds 5%% budget", (ratio-1)*100)
 	}
 }

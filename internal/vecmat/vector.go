@@ -116,21 +116,6 @@ func (v Vector) Distance(w Vector) (float64, error) {
 	return math.Sqrt(s), nil
 }
 
-// SquaredDistance returns ‖v - w‖₂² — the comparison key of the detector's
-// nearest-state queries, which only need the argmin and therefore skip the
-// square root of Distance on the hot path.
-func (v Vector) SquaredDistance(w Vector) (float64, error) {
-	if len(v) != len(w) {
-		return 0, fmt.Errorf("distance between %d-vector and %d-vector: %w", len(w), len(v), ErrDimensionMismatch)
-	}
-	var s float64
-	for i := range v {
-		d := v[i] - w[i]
-		s += d * d
-	}
-	return s, nil
-}
-
 // Mean returns the component-wise mean of the given vectors. It returns an
 // error when vs is empty or the vectors disagree in dimension.
 func Mean(vs []Vector) (Vector, error) {
