@@ -11,10 +11,17 @@ test:
 race:
 	$(GO) test -race ./internal/... ./cmd/...
 
-# lint forbids ad-hoc diagnostic prints outside examples/ and tests: all
-# operational chatter must go through the structured slog logger
-# (obs.NewLogger), so every line is JSON and carries trace correlation.
+# lint fails on any Go file gofmt would rewrite (the benchmark's build
+# directory aside), and forbids ad-hoc diagnostic prints outside examples/
+# and tests: all operational chatter must go through the structured slog
+# logger (obs.NewLogger), so every line is JSON and carries trace correlation.
 lint:
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "files not gofmt-clean (run gofmt -w):"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
 	@bad=$$(grep -rn 'log\.Printf\|log\.Println\|fmt\.Fprintf(os\.Stderr\|fmt\.Fprintf(errOut' \
 		--include='*.go' . \
 		| grep -v '_test\.go' | grep -v '^\./examples/' || true); \

@@ -63,7 +63,7 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 	listen := fs.String("listen", "", "serve mode: accept live NDJSON readings over HTTP on this address (POST /ingest, GET /report/{deployment}, /metrics)")
 	tcpAddr := fs.String("tcp", "", "serve mode: also accept line-delimited NDJSON readings on this TCP address")
 	shards := fs.Int("shards", 4, "serve mode: detector worker shards")
-	queueLen := fs.Int("queue", 1024, "serve mode: per-shard queue length")
+	queueLen := fs.Int("queue", 1024, "serve mode: per-shard queue bound, in readings")
 	overflow := fs.String("overflow", "block", "serve mode: full-queue policy, block (backpressure) or drop (shed + count)")
 	lateness := fs.Duration("lateness", 0, "serve mode: watermark lateness bound for out-of-order readings (0 = one window)")
 	bootstrap := fs.Duration("bootstrap", 24*time.Hour, "serve mode: leading event time buffered per deployment to seed model states")

@@ -193,4 +193,3 @@ func (s *Shared) RefreshDrift(at time.Time) (obs.ModelDrift, bool) {
 	s.d.health.SetDrift(drift, at)
 	return drift, true
 }
-

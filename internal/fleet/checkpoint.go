@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"sensorguard/internal/chaos"
@@ -244,28 +241,7 @@ func decodeCheckpoint(data []byte, wantShard, wantShards int) (*checkpointFile, 
 }
 
 // listCheckpoints returns the shard directory's checkpoints in ascending seq
-// order. Unparsable names (including leftover .tmp files) are ignored.
+// order (see listSeqFiles).
 func listCheckpoints(fsys chaos.FS, dir string) ([]journalSegment, error) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []journalSegment
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "checkpoint-") || !strings.HasSuffix(name, ".ckpt") {
-			continue
-		}
-		hexPart := strings.TrimSuffix(strings.TrimPrefix(name, "checkpoint-"), ".ckpt")
-		seq, err := strconv.ParseUint(hexPart, 16, 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, journalSegment{path: filepath.Join(dir, name), base: seq})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].base < out[j].base })
-	return out, nil
+	return listSeqFiles(fsys, dir, "checkpoint-", ".ckpt")
 }

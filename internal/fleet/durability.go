@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"log/slog"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sensorguard/internal/chaos"
@@ -67,15 +67,18 @@ type Durability struct {
 // durableShard is one shard's journal handle. nextSeq and the writer are
 // shared between Submit (producer goroutines) and the worker (rotation at
 // checkpoints), serialised by mu; the worker never blocks while holding it,
-// and Submit's queue send happens outside it with a slot already reserved,
-// so neither side can deadlock the other.
+// and the queue sends made under it cannot block (each staged reading holds
+// a unit of shard capacity), so neither side can deadlock the other.
 //
-// Appends group-commit: each committer stages its framed record into the
-// pending batch under mu, and the first arriver becomes the batch leader —
-// it drops the lock, writes every staged frame in one syscall, and wakes the
+// Appends group-commit: each committer stages its framed record and its
+// reading into the pending batch under mu, and the first arriver becomes
+// the batch leader — it drops the lock, writes every staged frame in one
+// syscall, enqueues the batch's readings as one slab, and wakes the
 // followers. N concurrently-submitted readings therefore share one write
-// instead of paying one syscall each; a lone committer degenerates to the
-// old one-write-per-entry behaviour.
+// and one queue send instead of paying one each; a lone committer
+// degenerates to one write per entry. Because only the leader enqueues,
+// batch after batch, readings reach the worker in journal order, so a
+// checkpoint at sequence S never precedes the apply of a sequence below S.
 // When the disk fails, the durableShard becomes a circuit breaker: a write
 // error flips it open (degraded — commits assign sequences but skip the
 // write, so ingest keeps serving from memory), and after an exponentially
@@ -98,42 +101,34 @@ type durableShard struct {
 
 	// Breaker state (guarded by mu). probeAt is when the next half-open
 	// probe may run; backoff doubles per failed probe.
-	degraded      bool
-	degradedSince time.Time
-	lastErr       error
-	lastErrAt     time.Time
-	probeAt       time.Time
-	backoff       time.Duration
-	nonDurable    uint64 // readings accepted while degraded (not journaled)
+	journalState
+	probeAt time.Time
+	backoff time.Duration
 
 	breakerBase, breakerMax time.Duration
-	wantCkpt                bool // set on breaker close; worker checkpoints ASAP
+	wantCkpt                atomic.Bool // set on breaker close; worker checkpoints ASAP
 	log                     *slog.Logger
 	degradeEdge             *obs.Counter // fleet_journal_degraded_total transitions
 	// clock attributes leader write-syscall time to the journal_append stage
 	// (nil with metrics off).
 	clock *obs.StageClock
+	// enqueue hands a committed batch's slab to the shard worker.
+	enqueue func(*slab)
 }
 
-// journalState is a point-in-time view of the breaker for Status/Health.
+// journalState is the breaker's status, copied out by state for Status.
 type journalState struct {
 	degraded      bool
 	degradedSince time.Time
 	lastErr       error
 	lastErrAt     time.Time
-	nonDurable    uint64
+	nonDurable    uint64 // readings accepted while degraded (not journaled)
 }
 
 func (ds *durableShard) state() journalState {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	return journalState{
-		degraded:      ds.degraded,
-		degradedSince: ds.degradedSince,
-		lastErr:       ds.lastErr,
-		lastErrAt:     ds.lastErrAt,
-		nonDurable:    ds.nonDurable,
-	}
+	return ds.journalState
 }
 
 // trip opens the breaker after a journal I/O failure. Caller holds mu.
@@ -160,149 +155,27 @@ func (ds *durableShard) trip(err error) {
 
 // probe runs the half-open attempt when due: open a fresh segment based at
 // nextSeq. Success closes the breaker and requests a checkpoint. Caller
-// holds mu; the probe's I/O happens under it, which is safe because commits
-// in degraded mode never write (they only bump nextSeq) and the worker's
-// rotate path also serialises on mu.
+// holds mu; the probe's I/O happens under it, which is safe because no
+// flush is in flight while the breaker is open and the worker's rotate path
+// also serialises on mu.
 func (ds *durableShard) probe() {
 	if !ds.degraded || time.Now().Before(ds.probeAt) {
 		return
 	}
-	jw, err := openJournal(ds.fs, ds.dir, ds.shard, ds.shards, ds.nextSeq)
-	if err != nil {
+	if err := ds.reopen(); err != nil {
 		ds.trip(err)
 		return
 	}
-	old := ds.journal
-	ds.journal = jw
-	old.close()
-	since := ds.degradedSince
-	ds.degraded = false
-	ds.wantCkpt = true
-	if ds.log != nil {
-		ds.log.Info("journal recovered: durability restored",
-			"shard", ds.shard, "degraded_for", time.Since(since).String(),
-			"non_durable", ds.nonDurable, "base", ds.nextSeq)
-	}
+	ds.wantCkpt.Store(true)
 }
 
-// takeWantCkpt consumes the post-recovery checkpoint request.
-func (ds *durableShard) takeWantCkpt() bool {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	want := ds.wantCkpt
-	ds.wantCkpt = false
-	return want
-}
-
-// journalBatch is one group-committed set of frames. done closes when the
-// batch is on disk (or failed); err is valid after done. n counts the staged
-// records so a failed batch's readings can be accounted non-durable.
-type journalBatch struct {
-	buf  []byte
-	n    int
-	done chan struct{}
-	err  error
-}
-
-// commit sequences, frames, and stages one reading, returning its journal
-// sequence and whether it made it to disk. It blocks until the batch
-// containing the record has been written (or skipped). Frames are staged in
-// sequence order because marshalling happens under mu — only the write
-// syscall itself is batched and lock-free.
-//
-// A write failure does NOT reject the reading: the shard degrades (breaker
-// opens), the reading is accepted non-durable, and later commits skip the
-// write entirely until a half-open probe reopens a fresh segment. The only
-// error commit returns is a marshalling failure — a malformed reading, which
-// is a rejection, not a disk fault.
-func (ds *durableShard) commit(e journalEntry) (seq uint64, durable bool, err error) {
-	ds.mu.Lock()
-	ds.probe() // half-open retry when due; no-op while healthy
-	ds.nextSeq++
-	e.Seq = ds.nextSeq
-	payload, err := json.Marshal(e)
-	if err != nil {
-		// The sequence was never staged; roll it back so the journal
-		// stays gap-free (mu has been held throughout).
-		ds.nextSeq--
-		ds.mu.Unlock()
-		return 0, false, err
-	}
-	if ds.degraded {
-		// Breaker open: accept from memory, count the durability gap.
-		ds.nonDurable++
-		seq := e.Seq
-		ds.mu.Unlock()
-		return seq, false, nil
-	}
-	if ds.pending == nil {
-		ds.pending = &journalBatch{buf: ds.spare, done: make(chan struct{})}
-		ds.spare = nil
-	}
-	b := ds.pending
-	b.buf = appendRecord(b.buf, payload)
-	b.n++
-	if !ds.flushing {
-		// Leader: write batches until none are staged. Followers that
-		// arrive while the write syscall is in flight stage the next
-		// batch; the loop picks it up.
-		ds.flushing = true
-		for ds.pending != nil {
-			batch := ds.pending
-			ds.pending = nil
-			if ds.degraded {
-				// A failed write tripped the breaker while this batch
-				// was being staged; don't hammer the broken device.
-				batch.err = ds.lastErr
-				ds.nonDurable += uint64(batch.n)
-			} else {
-				w := ds.journal
-				ds.mu.Unlock()
-				var wStart time.Time
-				if ds.clock != nil {
-					wStart = time.Now()
-				}
-				werr := w.write(batch.buf)
-				if ds.clock != nil {
-					ds.clock.Observe(time.Since(wStart), uint64(batch.n))
-				}
-				ds.mu.Lock()
-				batch.err = werr
-				if werr != nil {
-					ds.trip(werr)
-					ds.nonDurable += uint64(batch.n)
-				}
-			}
-			if cap(batch.buf) > cap(ds.spare) {
-				ds.spare = batch.buf[:0]
-			}
-			close(batch.done)
-		}
-		ds.flushing = false
-		ds.idle.Broadcast()
-		ds.mu.Unlock()
-	} else {
-		ds.mu.Unlock()
-		<-b.done
-	}
-	return e.Seq, b.err == nil, nil
-}
-
-// rotate swaps in a fresh journal segment based at nextSeq, waiting out any
-// in-flight flush first: while no leader is writing, no frames are staged
-// (the leader drains the pending batch before going idle), so every journaled
-// sequence is on disk in the old segment and below the new base. A successful
-// rotation while degraded doubles as breaker recovery — the disk just proved
-// it can take a fresh segment.
-func (ds *durableShard) rotate() error {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	for ds.flushing {
-		ds.idle.Wait()
-	}
+// reopen swaps in a fresh journal segment based at nextSeq. On a degraded
+// shard success also closes the breaker: the disk just proved it can take a
+// fresh segment. Caller holds mu with no flush in flight.
+func (ds *durableShard) reopen() error {
 	jw, err := openJournal(ds.fs, ds.dir, ds.shard, ds.shards, ds.nextSeq)
 	if err != nil {
-		return err // keep appending to the old segment; replay still works
+		return err
 	}
 	old := ds.journal
 	ds.journal = jw
@@ -316,6 +189,122 @@ func (ds *durableShard) rotate() error {
 		}
 	}
 	return nil
+}
+
+// journalBatch is one group-committed set of frames and the slab of their
+// readings, which rides in the batch (one holds a lone committer's). done
+// closes once the batch is written (or failed) and enqueued; err is valid after.
+type journalBatch struct {
+	buf  []byte
+	slab slab
+	one  [1]ingest.Reading
+	done chan struct{}
+	err  error
+}
+
+// commit sequences, frames, and stages one reading, returning its journal
+// sequence and whether it made it to disk. It blocks until the batch
+// containing the record has been written (or skipped) and enqueued. Frames
+// are staged in sequence order because marshalling happens under mu — only
+// the write syscall itself is batched and lock-free.
+//
+// A write failure does NOT reject the reading: the shard degrades (breaker
+// opens), the reading is accepted non-durable, and later batches skip the
+// write entirely until a half-open probe reopens a fresh segment. Degraded
+// commits still stage behind any batch in flight, keeping journal order.
+// The only error commit returns is a marshalling failure — a malformed
+// reading, which is a rejection, not a disk fault.
+func (ds *durableShard) commit(r *ingest.Reading) (seq uint64, durable bool, err error) {
+	ds.mu.Lock()
+	ds.probe() // half-open retry when due; no-op while healthy
+	ds.nextSeq++
+	payload, err := json.Marshal(journalEntry{
+		Seq:        ds.nextSeq,
+		Deployment: r.Deployment,
+		WireSeq:    r.Seq,
+		Sensor:     r.Sensor,
+		TimeNS:     int64(r.Time),
+		Values:     r.Values,
+	})
+	if err != nil {
+		// The sequence was never staged; roll it back so the journal
+		// stays gap-free (mu has been held throughout).
+		ds.nextSeq--
+		ds.mu.Unlock()
+		return 0, false, err
+	}
+	seq = ds.nextSeq
+	if ds.pending == nil {
+		ds.pending = &journalBatch{buf: ds.spare, slab: slab{seq: seq}, done: make(chan struct{})}
+		ds.pending.slab.rs = ds.pending.one[:0]
+		ds.spare = nil
+	}
+	b := ds.pending
+	b.buf = appendRecord(b.buf, payload)
+	b.slab.rs = append(b.slab.rs, *r)
+	if ds.flushing {
+		ds.mu.Unlock()
+		<-b.done
+		return seq, b.err == nil, nil
+	}
+	// Leader: flush batches until none are staged. Followers that arrive
+	// while the write syscall is in flight stage the next batch; the loop
+	// picks it up.
+	ds.flushing = true
+	for ds.pending != nil {
+		batch := ds.pending
+		ds.pending = nil
+		n := len(batch.slab.rs)
+		if ds.degraded {
+			// Breaker open (or tripped earlier in this loop): accept from
+			// memory as a gap, sparing the device. mu stays held, so no
+			// probe reopens the journal under batches staged meanwhile.
+			batch.err = ds.lastErr
+			ds.nonDurable += uint64(n)
+			ds.enqueue(&batch.slab)
+			close(batch.done)
+		} else {
+			w := ds.journal
+			ds.mu.Unlock()
+			var wStart time.Time
+			if ds.clock != nil {
+				wStart = time.Now()
+			}
+			batch.err = w.write(batch.buf)
+			if ds.clock != nil {
+				ds.clock.Observe(time.Since(wStart), uint64(n))
+			}
+			// Still the only leader: enqueue and wake without holding mu.
+			ds.enqueue(&batch.slab)
+			close(batch.done)
+			ds.mu.Lock()
+			if batch.err != nil {
+				ds.trip(batch.err)
+				ds.nonDurable += uint64(n)
+			}
+		}
+		if cap(batch.buf) > cap(ds.spare) {
+			ds.spare = batch.buf[:0]
+		}
+	}
+	ds.flushing = false
+	ds.idle.Broadcast()
+	ds.mu.Unlock()
+	return seq, b.err == nil, nil
+}
+
+// rotate swaps in a fresh journal segment based at nextSeq (see reopen)
+// once no flush is in flight: no frames are staged then (the leader drains
+// the pending batch before going idle), so every journaled sequence is on
+// disk in the old segment, below the new base. On failure the old segment
+// keeps taking appends; replay still works.
+func (ds *durableShard) rotate() error {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	for ds.flushing {
+		ds.idle.Wait()
+	}
+	return ds.reopen()
 }
 
 // deployment lifecycle states surfaced through Status.State.
@@ -348,18 +337,14 @@ func (s *shard) initDurability() error {
 		log:         s.pool.cfg.Logger,
 		degradeEdge: s.pool.degradeEdges,
 		clock:       s.pool.clkJournal,
+		enqueue:     s.enqueue,
 	}
 	s.dur.idle = sync.NewCond(&s.dur.mu)
 	s.cleanTemporaries(dir)
 	if cfg.Recover {
 		return s.recoverState()
 	}
-	jw, err := openJournal(cfg.FS, dir, s.id, len(s.pool.shards), 0)
-	if err != nil {
-		return err
-	}
-	s.dur.journal = jw
-	return nil
+	return s.dur.rotate() // the first segment, based at sequence 0
 }
 
 // cleanTemporaries removes stray checkpoint temporaries a crash or a failed
@@ -463,12 +448,7 @@ replay:
 	s.dur.nextSeq = maxSeq
 
 	if loaded == nil && replayed == 0 {
-		jw, err := openJournal(fsys, dir, s.id, n, 0)
-		if err != nil {
-			return err
-		}
-		s.dur.journal = jw
-		return nil
+		return s.dur.rotate() // nothing to collapse: just the first segment
 	}
 	// Collapse recovery into one fresh checkpoint (which also opens the
 	// next journal segment and prunes what the replay made redundant).
@@ -565,7 +545,9 @@ func (s *shard) maybeCheckpoint() {
 		return
 	}
 	cfg := s.pool.cfg.Durability
-	due := s.dur.takeWantCkpt() // breaker just closed: re-cover state ASAP
+	// Breaker just closed: re-cover state ASAP. Load first, so the worker
+	// writes the flag's cache line (shared with mu) only when it is set.
+	due := s.dur.wantCkpt.Load() && s.dur.wantCkpt.Swap(false)
 	if !due && cfg.EveryN > 0 && s.applied-s.lastCkptSeq >= uint64(cfg.EveryN) {
 		due = true
 	}
@@ -622,13 +604,7 @@ func (s *shard) checkpoint() error {
 		s.lastTrace = obs.SpanContext{}
 		sp.SetInt("seq", int64(seq))
 	}
-	s.mu.RLock()
-	deps := make([]*deployment, 0, len(s.deployments))
-	for _, d := range s.deployments {
-		deps = append(deps, d)
-	}
-	s.mu.RUnlock()
-	sort.Slice(deps, func(i, j int) bool { return deps[i].name < deps[j].name })
+	deps := s.sortedDeployments()
 	records := make([]deploymentCheckpoint, 0, len(deps))
 	for _, d := range deps {
 		rec, err := s.exportDeployment(d)

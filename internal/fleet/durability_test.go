@@ -2,12 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -171,6 +173,98 @@ func TestCrashRecoveryRetransmission(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "duplicates_total") {
 		t.Error("metrics missing duplicates counter")
+	}
+}
+
+// TestConcurrentCrashRecoveryKeepsJournalOrder is the regression test for
+// the group-commit apply order. Concurrent producers share one shard, so
+// their journal records group-commit; each streams its own deployment with
+// wire sequences.
+//
+// The first pool takes no checkpoints, so its journal stays whole: the
+// readings its worker applied must be exactly the journal's first records,
+// in sequence order. Later pools recover from the previous crash,
+// retransmit every stream from the start, checkpoint often and crash again.
+// Applying a batch out of journal order lets a checkpoint at sequence S
+// precede the apply of a lower sequence; recovery then skips that reading,
+// and its retransmission is discarded as a duplicate of the producer's later
+// reading already replayed. With a bootstrap horizon longer than the trace,
+// each deployment's bootstrap buffer is the exact record of what was
+// applied, so after a final recovery it must equal the readings sent, in
+// order — as in an uninterrupted run.
+func TestConcurrentCrashRecoveryKeepsJournalOrder(t *testing.T) {
+	const producers, n = 8, 600
+	tr := stuckTrace(t, 2)
+	dir := t.TempDir()
+	var applied []journalEntry // worker-owned until abort returns
+	var p *Pool
+	for round, hi := range []int{n / 2, 3 * n / 4, n, 0} {
+		var err error
+		p, err = New(Config{
+			Shards:    1,
+			Seed:      1,
+			Bootstrap: 1000 * time.Hour,
+			Durability: Durability{Dir: dir, Interval: time.Hour,
+				EveryN: min(round, 1) * 32, Recover: round > 0},
+			panicOn: func(r ingest.Reading) bool {
+				applied = append(applied, journalEntry{Deployment: r.Deployment, WireSeq: r.Seq})
+				return false
+			},
+		})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		var wg sync.WaitGroup
+		for g := range producers {
+			wg.Add(1)
+			go func(dep string) {
+				defer wg.Done()
+				for i := 0; i < hi; i++ {
+					err := p.Submit(ingest.Reading{Deployment: dep, Seq: uint64(i + 1), Reading: tr.Readings[i]})
+					if err != nil {
+						t.Errorf("submit %s reading %d: %v", dep, i, err)
+						return
+					}
+				}
+			}(fmt.Sprintf("producer-%d", g))
+		}
+		wg.Wait()
+		p.abort()
+		if round > 0 {
+			continue
+		}
+		journal, err := readJournal(chaos.OS, journalPath(shardDir(dir, 0), 0), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(journal) != producers*hi || len(applied) > len(journal) {
+			t.Fatalf("journaled %d, applied %d of %d readings", len(journal), len(applied), producers*hi)
+		}
+		for i, a := range applied {
+			if j := journal[i]; a.Deployment != j.Deployment || a.WireSeq != j.WireSeq {
+				t.Fatalf("apply %d was %s/%d, journal sequence %d holds %s/%d",
+					i, a.Deployment, a.WireSeq, j.Seq, j.Deployment, j.WireSeq)
+			}
+		}
+	}
+	for g := range producers {
+		dep := fmt.Sprintf("producer-%d", g)
+		d := p.shards[0].deployments[dep]
+		if d == nil || len(d.pending) != n {
+			got := 0
+			if d != nil {
+				got = len(d.pending)
+			}
+			t.Errorf("%s applied %d readings, want %d", dep, got, n)
+			continue
+		}
+		for i, r := range d.pending {
+			if want := tr.Readings[i]; r.Time != want.Time || r.Sensor != want.Sensor {
+				t.Errorf("%s reading %d is (sensor %d, %s), want (sensor %d, %s)",
+					dep, i, r.Sensor, r.Time, want.Sensor, want.Time)
+				break
+			}
+		}
 	}
 }
 
@@ -535,7 +629,11 @@ func TestJournalRoundTrip(t *testing.T) {
 			TimeNS:     int64(i) * int64(time.Minute),
 			Values:     []float64{float64(i), 0.5},
 		}
-		if err := w.append(e); err != nil {
+		payload, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.write(appendRecord(nil, payload)); err != nil {
 			t.Fatal(err)
 		}
 		wantEntries = append(wantEntries, e)

@@ -65,7 +65,8 @@ type Config struct {
 	// Shards is the worker count (default 4). Deployment keys hash onto
 	// shards, so more shards than active deployments buys nothing.
 	Shards int
-	// QueueLen bounds each shard's queue (default 1024 readings).
+	// QueueLen bounds each shard's queue in readings, however they are
+	// batched (default 1024).
 	QueueLen int
 	// Policy is the overflow behaviour (default Block).
 	Policy Policy
@@ -290,10 +291,8 @@ func New(cfg Config) (*Pool, error) {
 	p.shards = make([]*shard, cfg.Shards)
 	for i := range p.shards {
 		p.shards[i] = newShard(i, p)
-	}
-	if cfg.Durability.Dir != "" {
-		for _, s := range p.shards {
-			if err := s.initDurability(); err != nil {
+		if cfg.Durability.Dir != "" {
+			if err := p.shards[i].initDurability(); err != nil {
 				return nil, err
 			}
 		}
@@ -331,21 +330,20 @@ func shardIndex(deployment string, n int) int {
 // accepts it. With durability on, the reading is journaled before it is
 // enqueued — once Submit returns nil, a crash cannot lose the reading.
 func (p *Pool) Submit(r ingest.Reading) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrClosed
+	_, dropped, err := p.SubmitBatch([]ingest.Reading{r})
+	if err == nil && dropped > 0 {
+		err = ingest.ErrDropped
 	}
-	return p.submitLocked(r)
+	return err
 }
 
 // SubmitBatch submits a decoded batch in order under one intake-lock
-// acquisition — the staged path the parallel binary decoder feeds whole
-// frames through (it makes Pool an ingest.BatchConsumer). Readings route to
-// their shards exactly as Submit would: accepted counts enqueued readings,
-// dropped those shed by the overflow policy. A terminal error (shutdown, an
-// invalid reading) stops the batch where it stands; the counts cover the
-// prefix processed before it.
+// acquisition, routing each reading as Submit would; it makes Pool the
+// ingest.BatchConsumer both wire codecs feed. accepted counts enqueued
+// readings, dropped those shed by the overflow policy. An invalid reading
+// ends the batch after the valid prefix before it, which the counts cover.
+// Without durability the batch goes to the shards as slabs (see admit);
+// with it, each reading is journaled on its own (see submitDurable).
 func (p *Pool) SubmitBatch(rs []ingest.Reading) (accepted, dropped int, err error) {
 	if len(rs) == 0 {
 		return 0, 0, nil
@@ -355,78 +353,93 @@ func (p *Pool) SubmitBatch(rs []ingest.Reading) (accepted, dropped int, err erro
 	if p.closed {
 		return 0, 0, ErrClosed
 	}
-	for _, r := range rs {
-		switch err := p.submitLocked(r); {
-		case err == nil:
+	for i := range rs {
+		if err = rs[i].Validate(); err != nil {
+			rs = rs[:i]
+			break
+		}
+	}
+	if p.cfg.Durability.Dir == "" {
+		accepted, dropped = p.admit(rs)
+		return accepted, dropped, err
+	}
+	for i := range rs {
+		switch serr := p.submitDurable(&rs[i]); {
+		case serr == nil:
 			accepted++
-		case errors.Is(err, ingest.ErrDropped):
+		case errors.Is(serr, ingest.ErrDropped):
 			dropped++
 		default:
-			return accepted, dropped, err
+			return accepted, dropped, serr
 		}
 	}
-	return accepted, dropped, nil
+	return accepted, dropped, err
 }
 
-// submitLocked routes one reading to its shard; the caller holds p.mu.RLock
-// and has checked p.closed.
-func (p *Pool) submitLocked(r ingest.Reading) error {
-	if err := r.Validate(); err != nil {
-		return err
+// maxSlab caps a slab at 256 readings; admit also caps it at a quarter of
+// QueueLen, so a producer waiting for room never needs the queue drained.
+const maxSlab = 256
+
+// admit partitions validated readings by shard into slabs, admitting each
+// slab when it fills and the rest at the end; per shard, readings keep their
+// batch order. The batch's first sampled trace context moves onto the first
+// reading the batch gets admitted (its own reading, when that shard admits
+// first and has room), so a shed reading cannot take it down.
+func (p *Pool) admit(rs []ingest.Reading) (accepted, dropped int) {
+	var local [8]*slab
+	open := local[:]
+	if len(p.shards) > len(local) {
+		open = make([]*slab, len(p.shards))
 	}
+	size := min(maxSlab, max(1, p.cfg.QueueLen/4))
+	var carry obs.SpanContext
+	from, k := 0, 0
+	for i := range rs {
+		r := &rs[i]
+		if i == 0 || r.Deployment != rs[i-1].Deployment {
+			k = shardIndex(r.Deployment, len(p.shards))
+		}
+		sl := open[k]
+		if sl == nil {
+			sl = slabPool.Get().(*slab)
+			open[k] = sl
+		}
+		sl.rs = append(sl.rs, *r)
+		if !carry.Valid() && r.Trace.Recording() {
+			carry, from = r.Trace, k
+			sl.rs[len(sl.rs)-1].Trace = obs.SpanContext{}
+		}
+		if len(sl.rs) == size {
+			a, d := p.shards[k].admit(sl, &carry)
+			accepted, dropped = accepted+a, dropped+d
+			open[k] = nil
+		}
+	}
+	for j := range p.shards {
+		k := (from + j) % len(p.shards)
+		if sl := open[k]; sl != nil {
+			a, d := p.shards[k].admit(sl, &carry)
+			accepted, dropped = accepted+a, dropped+d
+		}
+	}
+	return accepted, dropped
+}
+
+// submitDurable is the journaled admission path: one journal record and
+// group commit per reading (see durableShard.commit). Its unit of shard
+// capacity is taken first, so the leader's enqueue cannot block.
+func (p *Pool) submitDurable(r *ingest.Reading) error {
 	s := p.shards[shardIndex(r.Deployment, len(p.shards))]
-	if s.dur != nil {
-		return p.submitDurable(s, r)
-	}
-	q := queued{r: r}
-	// The enqueue timestamp feeds the queue-wait histogram and the
-	// ingest.queue_wait span; skip the clock read when neither is on.
-	if p.queueWait != nil || r.Trace.Recording() {
-		q.enq = time.Now()
-	}
-	if p.cfg.Policy == DropNewest {
-		select {
-		case s.queue <- q:
-		default:
-			s.m.dropped.Inc()
-			return ingest.ErrDropped
-		}
-	} else {
-		s.queue <- q
-	}
-	p.readings.Inc()
-	return nil
-}
-
-// submitDurable is the journaled admission path. It goes through a slot
-// semaphore sized like the queue: a held slot guarantees the queue send
-// cannot block, so the journal commit (which must happen between sequencing
-// and enqueueing) never sits inside a blocking send. Concurrent submitters
-// group-commit: their journal frames share one write syscall (see
-// durableShard.commit).
-func (p *Pool) submitDurable(s *shard, r ingest.Reading) error {
-	if p.cfg.Policy == DropNewest {
-		select {
-		case s.slots <- struct{}{}:
-		default:
-			s.m.dropped.Inc()
-			return ingest.ErrDropped
-		}
-	} else {
-		s.slots <- struct{}{}
+	if s.adm.take(1, p.cfg.Policy == Block) == 0 {
+		s.m.dropped.Inc()
+		return ingest.ErrDropped
 	}
 	jsp := p.cfg.Tracer.StartSpan("journal.append", r.Trace)
 	var jStart time.Time
 	if p.journalAppend != nil {
 		jStart = time.Now()
 	}
-	seq, durable, err := s.dur.commit(journalEntry{
-		Deployment: r.Deployment,
-		WireSeq:    r.Seq,
-		Sensor:     r.Sensor,
-		TimeNS:     int64(r.Time),
-		Values:     r.Values,
-	})
+	seq, durable, err := s.dur.commit(r)
 	if p.journalAppend != nil {
 		p.journalAppend.Observe(time.Since(jStart).Seconds())
 	}
@@ -435,46 +448,27 @@ func (p *Pool) submitDurable(s *shard, r ingest.Reading) error {
 	if err != nil {
 		// Only an unencodable entry errors, and Validate already ruled
 		// those out; disk faults degrade instead.
-		<-s.slots
+		s.adm.release(1)
 		return fmt.Errorf("fleet: journal: %w", err)
 	}
 	if !durable {
 		s.m.nondurable.Inc()
 	}
-	q := queued{seq: seq, r: r}
-	if p.queueWait != nil || r.Trace.Recording() {
-		q.enq = time.Now()
-	}
-	s.queue <- q // cannot block: a slot is held
-	p.readings.Inc()
 	return nil
 }
 
 // Drain stops intake, lets every shard work off its queue, flushes every
 // open window through the detectors, and returns when all workers exit.
 // Safe to call more than once.
-func (p *Pool) Drain() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		<-p.drained
-		return
-	}
-	p.closed = true
-	p.mu.Unlock()
-	p.stopSLO()
-	for _, s := range p.shards {
-		close(s.queue)
-	}
-	p.wg.Wait()
-	close(p.drained)
-}
+func (p *Pool) Drain() { p.stop(false) }
 
 // abort simulates a crash for the recovery tests: intake stops and workers
 // exit without flushing windowers or writing a final checkpoint, so the
 // durable state on disk is exactly what the journal and periodic checkpoints
 // captured — the same thing a SIGKILL would leave behind.
-func (p *Pool) abort() {
+func (p *Pool) abort() { p.stop(true) }
+
+func (p *Pool) stop(abort bool) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -482,7 +476,7 @@ func (p *Pool) abort() {
 		return
 	}
 	p.closed = true
-	p.aborted.Store(true)
+	p.aborted.Store(abort)
 	p.mu.Unlock()
 	p.stopSLO()
 	for _, s := range p.shards {
@@ -622,27 +616,10 @@ func (p *Pool) Health() Health {
 	p.mu.RLock()
 	h.Draining = p.closed
 	p.mu.RUnlock()
-	interval := time.Duration(0)
-	if p.cfg.Durability.Dir != "" {
-		interval = p.cfg.Durability.Interval
-	}
 	h.QueueSaturation = p.maxQueueSaturation()
 	h.CheckpointAgeSeconds = p.maxCheckpointAge()
-	var drifting []string
-	for _, s := range p.shards {
-		s.mu.RLock()
-		for name, d := range s.deployments {
-			if d.stateName() == StateQuarantined {
-				h.Quarantined = append(h.Quarantined, name)
-			}
-			if d.healthTracker().Drifting() {
-				drifting = append(drifting, name)
-			}
-		}
-		s.mu.RUnlock()
-	}
-	sort.Strings(h.Quarantined)
-	sort.Strings(drifting)
+	h.Quarantined = p.deploymentsWhere(func(d *deployment) bool { return d.stateName() == StateQuarantined })
+	drifting := p.driftingDeployments()
 	if h.QueueSaturation >= 0.9 {
 		h.Reasons = append(h.Reasons, fmt.Sprintf("queue saturation %.0f%%", h.QueueSaturation*100))
 	}
@@ -653,8 +630,8 @@ func (p *Pool) Health() Health {
 	if len(h.DegradedShards) > 0 {
 		h.Reasons = append(h.Reasons, fmt.Sprintf("journal degraded on %d shard(s): readings accepted non-durable", len(h.DegradedShards)))
 	}
-	if interval > 0 && h.CheckpointAgeSeconds > 3*interval.Seconds() {
-		h.Reasons = append(h.Reasons, fmt.Sprintf("checkpoint %.0fs old (interval %s)", h.CheckpointAgeSeconds, interval))
+	if iv := p.checkpointInterval(); iv > 0 && h.CheckpointAgeSeconds > 3*iv.Seconds() {
+		h.Reasons = append(h.Reasons, fmt.Sprintf("checkpoint %.0fs old (interval %s)", h.CheckpointAgeSeconds, iv))
 	}
 	if len(drifting) > 0 {
 		h.Reasons = append(h.Reasons, fmt.Sprintf("detector drift on %s", strings.Join(drifting, ", ")))
@@ -678,11 +655,20 @@ func (p *Pool) Health() Health {
 func (p *Pool) maxQueueSaturation() float64 {
 	var max float64
 	for _, s := range p.shards {
-		if sat := float64(len(s.queue)) / float64(cap(s.queue)); sat > max {
+		if sat := float64(s.adm.inFlight()) / float64(p.cfg.QueueLen); sat > max {
 			max = sat
 		}
 	}
 	return max
+}
+
+// checkpointInterval is the wall-clock checkpoint cadence (0 with durability
+// or its interval trigger off).
+func (p *Pool) checkpointInterval() time.Duration {
+	if p.cfg.Durability.Dir == "" {
+		return 0
+	}
+	return p.cfg.Durability.Interval
 }
 
 // maxCheckpointAge is the age in seconds of the stalest shard checkpoint
@@ -772,16 +758,33 @@ func (p *Pool) ShardStatuses() []ShardStatus {
 
 // Deployments lists every deployment seen, sorted.
 func (p *Pool) Deployments() []string {
+	return p.deploymentsWhere(func(*deployment) bool { return true })
+}
+
+// deploymentsWhere lists the names of the deployments keep accepts, sorted.
+func (p *Pool) deploymentsWhere(keep func(*deployment) bool) []string {
 	var out []string
 	for _, s := range p.shards {
-		s.mu.RLock()
-		for name := range s.deployments {
-			out = append(out, name)
+		for _, d := range s.sortedDeployments() {
+			if keep(d) {
+				out = append(out, d.name)
+			}
 		}
-		s.mu.RUnlock()
 	}
 	sort.Strings(out)
 	return out
+}
+
+// sortedDeployments snapshots the shard's deployments, sorted by name.
+func (s *shard) sortedDeployments() []*deployment {
+	s.mu.RLock()
+	deps := make([]*deployment, 0, len(s.deployments))
+	for _, d := range s.deployments {
+		deps = append(deps, d)
+	}
+	s.mu.RUnlock()
+	sort.Slice(deps, func(i, j int) bool { return deps[i].name < deps[j].name })
+	return deps
 }
 
 func (p *Pool) lookup(deployment string) (*deployment, error) {
@@ -811,33 +814,98 @@ type shardMetrics struct {
 	nondurable  *obs.Counter
 }
 
-// queued is one admitted reading plus its journal sequence (0 when
-// durability is off) and enqueue time (zero when neither the queue-wait
-// histogram nor a sampled trace wants it).
-type queued struct {
+// slab is one admitted run of readings bound for a single shard, in
+// admission order — the unit the shard queue carries. seq is the journal
+// sequence of rs[0], the rest following on (0 with durability off); enq is
+// the enqueue time (zero when no queue-wait histogram or tracer wants it).
+type slab struct {
+	rs  []ingest.Reading
 	seq uint64
-	r   ingest.Reading
 	enq time.Time
 }
 
-// batchMax caps how many queued readings a shard drains per batch — enough
-// to amortise the per-batch bookkeeping (depth gauge, lag scan), small
-// enough to keep metrics fresh under sustained load.
-const batchMax = 256
+// slabPool recycles slabs between producers and shard workers, so
+// steady-state intake allocates none.
+var slabPool = sync.Pool{New: func() any { return new(slab) }}
+
+func putSlab(sl *slab) {
+	clear(sl.rs)
+	*sl = slab{rs: sl.rs[:0]}
+	slabPool.Put(sl)
+}
+
+// admission is a shard's counting semaphore over in-flight readings: each
+// admitted reading holds a unit until the worker reaches it, so QueueLen
+// bounds readings however they are batched. Blocked takers are handed their
+// units in arrival order and woken only then: a slab is not starved by
+// single readings, and no waiter wakes just to sleep again.
+type admission struct {
+	mu         sync.Mutex
+	free, size int
+	line       []waiter
+}
+
+type waiter struct {
+	n     int
+	ready chan struct{} // from readyPool; capacity 1, so handing off never blocks
+}
+
+var readyPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// take takes n units (n ≤ size), waiting for them when wait is set, and
+// otherwise takes as many as are free now; it returns how many it took.
+func (a *admission) take(n int, wait bool) int {
+	a.mu.Lock()
+	if !wait || len(a.line) == 0 && a.free >= n {
+		n = min(n, a.free) // a pool's takers all wait (Block) or none do
+		a.free -= n
+		a.mu.Unlock()
+		return n
+	}
+	ready := readyPool.Get().(chan struct{})
+	a.line = append(a.line, waiter{n: n, ready: ready})
+	a.mu.Unlock()
+	<-ready // release took our units for us
+	readyPool.Put(ready)
+	return n
+}
+
+func (a *admission) release(n int) {
+	a.mu.Lock()
+	a.free += n
+	for len(a.line) > 0 && a.line[0].n <= a.free {
+		a.free -= a.line[0].n
+		a.line[0].ready <- struct{}{}
+		a.line = a.line[:copy(a.line, a.line[1:])]
+	}
+	a.mu.Unlock()
+}
+
+// inFlight counts the readings admitted and not yet reached by the worker.
+func (a *admission) inFlight() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.size - a.free
+}
+
+// releaseChunk readings' capacity go back at a time: producers keep pipelining.
+const releaseChunk = 32
 
 type shard struct {
-	id    int
-	pool  *Pool
-	queue chan queued
-	slots chan struct{} // admission semaphore; see submitDurable
+	id   int
+	pool *Pool
+	// queue carries admitted slabs. It has a slot per unit of adm, and
+	// every queued slab holds at least one unit, so a send never blocks.
+	queue chan *slab
+	adm   admission
 	m     shardMetrics
 
-	// batch and batchPos are the in-progress drain: workBatch processes
-	// batch[batchPos:]. They live on the shard (not the stack) so a
-	// recovered panic can resume the rest of the batch, skipping only the
-	// poisoned reading.
-	batch    []queued
-	batchPos int
+	// cur is the worker's slab, pos its next reading, released how many of
+	// its units went back to adm. They live on the shard so a recovered
+	// panic resumes the slab, skipping only the poisoned reading.
+	cur           *slab
+	pos, released int
+	ungauged      int // readings handled since the gauges last refreshed
 
 	// Worker-owned durability cursors (no lock: only the worker goroutine
 	// — or recovery, which runs before it starts — touches them).
@@ -870,16 +938,15 @@ func newShard(id int, p *Pool) *shard {
 	s := &shard{
 		id:           id,
 		pool:         p,
-		queue:        make(chan queued, p.cfg.QueueLen),
-		slots:        make(chan struct{}, p.cfg.QueueLen),
-		batch:        make([]queued, 0, min(batchMax, p.cfg.QueueLen)),
+		queue:        make(chan *slab, p.cfg.QueueLen),
+		adm:          admission{free: p.cfg.QueueLen, size: p.cfg.QueueLen},
 		lastCkptTime: time.Now(),
 		deployments:  make(map[string]*deployment),
 	}
 	if reg := p.cfg.Metrics; reg != nil {
 		prefix := fmt.Sprintf("fleet_shard%d_", id)
 		s.m = shardMetrics{
-			depth:       reg.Gauge(prefix+"queue_depth", "readings waiting in this shard's queue"),
+			depth:       reg.Gauge(prefix+"queue_depth", "readings admitted to this shard and not yet reached by its worker"),
 			lag:         reg.Gauge(prefix+"lag_windows", "windows buffered behind the watermark on this shard"),
 			dropped:     reg.Counter(prefix+"dropped_total", "readings shed by the overflow policy"),
 			late:        reg.Counter(prefix+"late_dropped_total", "readings dropped for arriving after their window closed"),
@@ -991,12 +1058,9 @@ func (s *shard) run() {
 	defer s.pool.wg.Done()
 	defer func() {
 		if s.dur != nil {
-			s.dur.mu.Lock()
-			for s.dur.flushing {
-				s.dur.idle.Wait()
-			}
+			// The queue closes only once intake has stopped, so no commit
+			// is in flight.
 			s.dur.journal.close()
-			s.dur.mu.Unlock()
 		}
 	}()
 	for s.consume() {
@@ -1017,13 +1081,14 @@ func (s *shard) run() {
 // recovered (restart=true). A panic quarantines the deployment whose reading
 // was being handled; the reading count it was part of stays applied (its
 // journal sequence was recorded before handling), so checkpoints taken after
-// a restart remain consistent with replay. The interrupted batch stays on
-// the shard: the restarted worker resumes it past the poisoned reading, so
-// a panic never drops the innocent readings drained alongside it.
+// a restart remain consistent with replay. The interrupted slab stays on the
+// shard: the restarted worker resumes it past the poisoned reading, so a
+// panic never drops the innocent readings admitted alongside it.
 //
-// Readings drain in batches: one blocking receive, then up to batchMax-1
-// opportunistic receives, so per-batch bookkeeping (queue-depth gauge,
-// watermark-lag scan) is paid once per drain instead of once per reading.
+// Capacity goes back releaseChunk readings at a time, just ahead of their
+// handling; the applied cursor and current deployment still update per
+// reading. The depth and lag gauges refresh when the queue runs dry and at
+// least every maxSlab readings (journaled slabs can hold one reading).
 func (s *shard) consume() (restart bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1032,85 +1097,101 @@ func (s *shard) consume() (restart bool) {
 				d.quarantine(fmt.Errorf("fleet: shard %d worker panic: %v", s.id, r))
 				s.current = nil
 			}
-			// Skip the reading that blew up; the restarted worker
-			// picks up the rest of the batch.
-			s.batchPos++
+			s.pos++ // skip the reading that blew up
 			restart = true
 		}
 	}()
-	if !s.workBatch() { // resume a batch a recovered panic interrupted
-		return false
-	}
 	for {
-		q, ok := <-s.queue
-		if !ok {
-			return false
-		}
-		s.batch = append(s.batch[:0], q)
-	fill:
-		for len(s.batch) < cap(s.batch) {
-			select {
-			case q, ok := <-s.queue:
-				if !ok {
-					break fill
-				}
-				s.batch = append(s.batch, q)
-			default:
-				break fill
+		if s.cur == nil {
+			sl, ok := <-s.queue
+			if !ok {
+				return false
 			}
+			s.cur, s.pos, s.released = sl, 0, 0
+			s.observeQueueWait(sl)
 		}
-		s.batchPos = 0
-		if !s.workBatch() {
-			return false
+		for sl := s.cur; s.pos < len(sl.rs); s.pos++ {
+			if s.pos == s.released {
+				n := min(releaseChunk, len(sl.rs)-s.released)
+				s.adm.release(n)
+				s.released += n
+			}
+			if s.pool.aborted.Load() {
+				return false
+			}
+			r := &sl.rs[s.pos]
+			if r.Trace.Recording() {
+				s.lastTrace = r.Trace
+			}
+			s.applied = sl.seq + uint64(s.pos) // meaningful with durability only
+			s.current = s.deployment(r.Deployment)
+			s.handle(s.current, *r)
+			s.current = nil
+			s.maybeCheckpoint()
+		}
+		s.ungauged += len(s.cur.rs)
+		if s.dur == nil { // journaled slabs live in their journal batch
+			putSlab(s.cur)
+		}
+		s.cur = nil
+		if s.ungauged >= maxSlab || len(s.queue) == 0 {
+			s.ungauged = 0
+			s.m.depth.Set(float64(s.adm.inFlight()))
+			s.updateLag()
 		}
 	}
 }
 
-// workBatch processes batch[batchPos:], returning false on abort. Per-batch
-// (not per-reading) it refreshes the depth and lag gauges and trims the
-// batch; per-reading state (applied cursor, current deployment) still
-// updates item by item so checkpoints and panic attribution stay exact.
-func (s *shard) workBatch() bool {
-	for s.batchPos < len(s.batch) {
-		q := s.batch[s.batchPos]
-		if s.dur != nil {
-			<-s.slots
-		}
-		if s.pool.aborted.Load() {
-			return false
-		}
-		if !q.enq.IsZero() {
-			wait := time.Since(q.enq)
-			// Traced readings stamp their trace ID on the bucket as an
-			// exemplar, so a queue-wait spike on the dashboard links to the
-			// exact /debug/traces trace that sat through it.
-			var traceID string
-			if q.r.Trace.Recording() {
-				traceID = q.r.Trace.Trace.String()
-			}
-			s.pool.queueWait.ObserveExemplar(wait.Seconds(), traceID)
-			s.pool.clkQueueWait.Observe(wait, 1)
-			if q.r.Trace.Recording() {
-				sp := s.pool.cfg.Tracer.StartSpanAt("ingest.queue_wait", q.r.Trace, q.enq)
-				sp.SetInt("shard", int64(s.id))
-				sp.End()
-			}
-		}
-		if q.r.Trace.Recording() {
-			s.lastTrace = q.r.Trace
-		}
-		s.applied = q.seq
-		s.current = s.deployment(q.r.Deployment)
-		s.handle(s.current, q.r)
-		s.current = nil
-		s.maybeCheckpoint()
-		s.batchPos++
+// observeQueueWait records the slab's queue wait once, weighted by its
+// readings. A sampled reading gets its ingest.queue_wait span and stamps its
+// trace ID on the bucket as an exemplar, linking a spike to its trace.
+func (s *shard) observeQueueWait(sl *slab) {
+	if sl.enq.IsZero() {
+		return
 	}
-	s.batch = s.batch[:0]
-	s.batchPos = 0
-	s.m.depth.Set(float64(len(s.queue)))
-	s.updateLag()
-	return true
+	wait := time.Since(sl.enq)
+	n := uint64(len(sl.rs))
+	s.pool.clkQueueWait.Observe(wait*time.Duration(n), n)
+	for i := 0; s.pool.cfg.Tracer != nil && i < len(sl.rs); i++ {
+		if tc := sl.rs[i].Trace; tc.Recording() {
+			s.pool.queueWait.ObserveExemplar(wait.Seconds(), tc.Trace.String())
+			n--
+			sp := s.pool.cfg.Tracer.StartSpanAt("ingest.queue_wait", tc, sl.enq)
+			sp.SetInt("shard", int64(s.id))
+			sp.End()
+		}
+	}
+	s.pool.queueWait.ObserveN(wait.Seconds(), n)
+}
+
+// admit takes capacity for sl and enqueues what fits: Block waits for room,
+// DropNewest sheds the readings that do not (the newest). A carried trace
+// context lands on an admitted slab's first reading.
+func (s *shard) admit(sl *slab, carry *obs.SpanContext) (accepted, dropped int) {
+	accepted = s.adm.take(len(sl.rs), s.pool.cfg.Policy == Block)
+	if dropped = len(sl.rs) - accepted; dropped > 0 {
+		s.m.dropped.Add(uint64(dropped))
+		clear(sl.rs[accepted:])
+		sl.rs = sl.rs[:accepted]
+	}
+	if accepted == 0 {
+		putSlab(sl)
+		return 0, dropped
+	}
+	if carry.Valid() && !sl.rs[0].Trace.Valid() {
+		sl.rs[0].Trace, *carry = *carry, obs.SpanContext{}
+	}
+	s.enqueue(sl)
+	return accepted, dropped
+}
+
+// enqueue hands an admitted slab, whose capacity is held, to the worker.
+func (s *shard) enqueue(sl *slab) {
+	if s.pool.queueWait != nil || s.pool.cfg.Tracer != nil {
+		sl.enq = time.Now()
+	}
+	s.pool.readings.Add(uint64(len(sl.rs))) // before the worker may recycle sl
+	s.queue <- sl
 }
 
 func (s *shard) deployment(name string) *deployment {
@@ -1312,14 +1393,7 @@ func (s *shard) updateLag() {
 // window is flushed through the detector. Each deployment's flush is
 // panic-isolated, so one poisoned stream cannot abort the others' shutdown.
 func (s *shard) drain() {
-	s.mu.RLock()
-	deps := make([]*deployment, 0, len(s.deployments))
-	for _, d := range s.deployments {
-		deps = append(deps, d)
-	}
-	s.mu.RUnlock()
-	sort.Slice(deps, func(i, j int) bool { return deps[i].name < deps[j].name })
-	for _, d := range deps {
+	for _, d := range s.sortedDeployments() {
 		s.drainDeployment(d)
 	}
 }

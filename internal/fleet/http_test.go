@@ -15,12 +15,15 @@ import (
 	"sensorguard/internal/obs"
 )
 
-// ndjson renders a trace as the POST /ingest wire format.
+// ndjson renders readings as the POST /ingest wire format, under one
+// deployment (or each reading's own, when deployment is empty).
 func ndjson(t *testing.T, deployment string, readings []ingest.Reading) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, r := range readings {
-		r.Deployment = deployment
+		if deployment != "" {
+			r.Deployment = deployment
+		}
 		line, err := ingest.EncodeLine(r)
 		if err != nil {
 			t.Fatal(err)

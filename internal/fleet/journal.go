@@ -93,19 +93,10 @@ func openJournal(fsys chaos.FS, dir string, shard, shards int, base uint64) (*jo
 	return &journalWriter{f: f, path: path}, nil
 }
 
-// append writes one entry. The single Write call keeps the frame contiguous,
-// so a concurrent kill can only tear the final record, never interleave two.
-func (w *journalWriter) append(e journalEntry) error {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	_, err = w.f.Write(appendRecord(nil, payload))
-	return err
-}
-
 // write flushes a buffer of pre-framed records in one syscall — the group
-// commit path. The buffer must hold whole frames in sequence order.
+// commit path. The buffer must hold whole frames in sequence order; the
+// single Write call keeps them contiguous, so a concurrent kill can only
+// tear the final record, never interleave two.
 func (w *journalWriter) write(buf []byte) error {
 	if len(buf) == 0 {
 		return nil
@@ -128,8 +119,15 @@ type journalSegment struct {
 }
 
 // listJournals returns the shard directory's segments in ascending base
-// order. Files whose names do not parse are ignored.
+// order (see listSeqFiles).
 func listJournals(fsys chaos.FS, dir string) ([]journalSegment, error) {
+	return listSeqFiles(fsys, dir, "journal-", ".wal")
+}
+
+// listSeqFiles returns dir's files named prefix + hex sequence + suffix in
+// ascending sequence order. Files whose names do not parse (leftover .tmp
+// files included) are ignored.
+func listSeqFiles(fsys chaos.FS, dir, prefix, suffix string) ([]journalSegment, error) {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -140,15 +138,14 @@ func listJournals(fsys chaos.FS, dir string) ([]journalSegment, error) {
 	var out []journalSegment
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "journal-") || !strings.HasSuffix(name, ".wal") {
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 			continue
 		}
-		hexPart := strings.TrimSuffix(strings.TrimPrefix(name, "journal-"), ".wal")
-		base, err := strconv.ParseUint(hexPart, 16, 64)
+		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 16, 64)
 		if err != nil {
 			continue
 		}
-		out = append(out, journalSegment{path: filepath.Join(dir, name), base: base})
+		out = append(out, journalSegment{path: filepath.Join(dir, name), base: seq})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].base < out[j].base })
 	return out, nil

@@ -95,10 +95,7 @@ func (p *Pool) bindSLO(spec obs.SLOSpec) (obs.SLOSource, error) {
 	case "queue-saturation":
 		return obs.ThresholdSource(p.maxQueueSaturation, 0.9), nil
 	case "checkpoint-staleness":
-		interval := time.Duration(0)
-		if p.cfg.Durability.Dir != "" {
-			interval = p.cfg.Durability.Interval
-		}
+		interval := p.checkpointInterval()
 		if interval <= 0 {
 			// Durability (or its interval trigger) is off: nothing can go
 			// stale, so the source never produces events and never fires.
@@ -122,19 +119,9 @@ func (p *Pool) bindSLO(spec obs.SLOSpec) (obs.SLOSource, error) {
 }
 
 // driftingDeployments lists the deployments whose health tracker currently
-// reads drifting, sorted by shard walk order (callers sort when it matters).
+// reads drifting, sorted.
 func (p *Pool) driftingDeployments() []string {
-	var out []string
-	for _, s := range p.shards {
-		s.mu.RLock()
-		for name, d := range s.deployments {
-			if d.healthTracker().Drifting() {
-				out = append(out, name)
-			}
-		}
-		s.mu.RUnlock()
-	}
-	return out
+	return p.deploymentsWhere(func(d *deployment) bool { return d.healthTracker().Drifting() })
 }
 
 // initSLO builds the engine and binds every configured spec. Called from New
@@ -214,13 +201,7 @@ func (p *Pool) healthSweep(now time.Time) {
 	p.updateBottleneck(now)
 	reg := p.cfg.Metrics
 	for _, s := range p.shards {
-		s.mu.RLock()
-		deps := make([]*deployment, 0, len(s.deployments))
-		for _, d := range s.deployments {
-			deps = append(deps, d)
-		}
-		s.mu.RUnlock()
-		for _, d := range deps {
+		for _, d := range s.sortedDeployments() {
 			ht := d.healthTracker()
 			if ht == nil {
 				continue

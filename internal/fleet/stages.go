@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"sort"
 	"time"
 
 	"sensorguard/internal/obs"
@@ -94,19 +93,14 @@ func (p *Pool) updateBottleneck(now time.Time) {
 	p.bottleneck.Store(b)
 
 	reg := p.cfg.Metrics
-	names := make([]string, 0, len(utils))
 	for _, u := range utils {
-		names = append(names, u.Stage)
 		reg.Gauge(`fleet_stage_utilization{stage="`+u.Stage+`"}`,
 			"stage busy time as a fraction of wall time over the last health sweep").Set(u.Utilization)
-	}
-	sort.Strings(names)
-	for _, name := range names {
 		v := 0.0
-		if name == b.Stage {
+		if u.Stage == b.Stage {
 			v = 1
 		}
-		reg.Gauge(`fleet_bottleneck_stage{stage="`+name+`"}`,
+		reg.Gauge(`fleet_bottleneck_stage{stage="`+u.Stage+`"}`,
 			"1 on the stage currently attributed as the pipeline bottleneck").Set(v)
 	}
 }

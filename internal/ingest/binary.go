@@ -21,10 +21,11 @@ import (
 // cores, but their readings reach the consumer (and therefore each
 // deployment's shard queue) in the order they arrived on the socket.
 
-// BatchConsumer is a Consumer that can take a whole decoded frame in one
-// call. The binary submit path prefers it: one intake lock acquisition per
-// frame instead of per reading. accepted+dropped covers the prefix actually
-// processed; a non-nil error is terminal, as with Submit.
+// BatchConsumer is a Consumer that can take a whole decoded batch in one
+// call. Both codecs prefer it: the binary path submits each frame, the
+// NDJSON path runs of up to lineBatch lines. accepted+dropped covers the
+// prefix actually processed; a non-nil error is terminal, as with Submit.
+// SubmitBatch must not retain rs: the caller reuses it.
 type BatchConsumer interface {
 	Consumer
 	SubmitBatch(rs []Reading) (accepted, dropped int, err error)
@@ -167,7 +168,6 @@ func readFrames(br *bufio.Reader, c Consumer, o StreamOptions) (StreamStats, err
 	}()
 
 	var st StreamStats
-	bc, batched := c.(BatchConsumer)
 	fail := func(err error) (StreamStats, error) {
 		// Stop the reader, then drain so no result channel is left holding a
 		// reference; workers never block (each out has capacity 1).
@@ -189,32 +189,17 @@ func readFrames(br *bufio.Reader, c Consumer, o StreamOptions) (StreamStats, err
 		if len(res.readings) == 0 {
 			continue
 		}
-		if batched {
-			if ctx.Valid() {
-				res.readings[0].Trace = ctx
-			}
-			accepted, dropped, err := bc.SubmitBatch(res.readings)
-			st.Accepted += accepted
-			st.Dropped += dropped
-			if err != nil {
-				return fail(err)
-			}
-			if accepted > 0 {
-				ctx = obs.SpanContext{} // one stamped reading per sampled stream
-			}
-			continue
+		if ctx.Valid() {
+			res.readings[0].Trace = ctx
 		}
-		for _, rd := range res.readings {
-			rd.Trace = ctx
-			switch err := c.Submit(rd); {
-			case err == nil:
-				st.Accepted++
-				ctx = obs.SpanContext{}
-			case errors.Is(err, ErrDropped):
-				st.Dropped++
-			default:
-				return fail(err)
-			}
+		accepted, dropped, err := submitBatch(c, res.readings)
+		st.Accepted += accepted
+		st.Dropped += dropped
+		if err != nil {
+			return fail(err)
+		}
+		if accepted > 0 {
+			ctx = obs.SpanContext{} // one stamped reading per sampled stream
 		}
 	}
 	err := <-readErr

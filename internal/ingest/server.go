@@ -62,8 +62,9 @@ type StreamOptions struct {
 	// unsampled Parent) records nothing.
 	Tracer *obs.Tracer
 	Parent obs.SpanContext
-	// Decode, when non-nil, accumulates per-reading decode time into the
-	// ingest_decode stage clock for bottleneck attribution.
+	// Decode, when non-nil, accumulates decode time and decoded readings
+	// into the ingest_decode stage clock for bottleneck attribution, one
+	// observation per submitted batch or frame.
 	Decode *obs.StageClock
 }
 
@@ -104,9 +105,15 @@ func startDecodeSpan(o StreamOptions) *obs.Span {
 	return nil
 }
 
-// decodeFlushEvery is how many timed lines accumulate locally before the
-// decode stage clock's counters take the atomic adds.
-const decodeFlushEvery = 4096
+// lineBatch is how many decoded NDJSON readings readLines hands its consumer
+// at once; a batch also goes as soon as the input has nothing more buffered,
+// so a producer that trickles lines is never held back waiting for it.
+const lineBatch = 512
+
+// batchPool recycles readLines' reading batches: consumers copy what they
+// keep (SubmitBatch must not retain its slice), so a batch is free again
+// once handed off.
+var batchPool = sync.Pool{New: func() any { b := make([]Reading, 0, lineBatch); return &b }}
 
 // lineReader yields newline-delimited lines of at most maxLine bytes. A
 // longer line is discarded up to its terminating newline and reported as
@@ -174,18 +181,41 @@ func trimEOL(b []byte) []byte {
 
 // readLines is ReadStream's NDJSON codec. One lineDecoder serves the whole
 // stream, so its deployment names are interned and its values vectors are
-// carved from shared slabs.
+// carved from shared slabs. Decoded readings reach c in batches of up to
+// lineBatch (see submitBatch), and each batch's decode time, from its first
+// line to its hand-off, feeds the decode stage clock in one observation.
 func readLines(br *bufio.Reader, c Consumer, o StreamOptions) (StreamStats, error) {
 	span := startDecodeSpan(o)
 	ctx := span.Context()
 	var st StreamStats
-	var busy time.Duration
-	var lines uint64
-	flushClock := func() {
+	bp := batchPool.Get().(*[]Reading)
+	batch := (*bp)[:0]
+	defer func() {
+		*bp = batch[:0]
+		batchPool.Put(bp)
+	}()
+	var start time.Time // first line of the open batch (decode clock on)
+	var lines uint64    // lines decoded into the open batch, valid or not
+	flush := func() error {
 		if lines > 0 {
-			o.Decode.Observe(busy, lines)
-			busy, lines = 0, 0
+			o.Decode.Observe(time.Since(start), lines)
+			lines = 0
 		}
+		if len(batch) == 0 {
+			return nil
+		}
+		if ctx.Valid() {
+			batch[0].Trace = ctx
+		}
+		accepted, dropped, err := submitBatch(c, batch)
+		st.Accepted += accepted
+		st.Dropped += dropped
+		if accepted > 0 {
+			ctx = obs.SpanContext{} // one stamped reading per sampled stream
+		}
+		clear(batch)
+		batch = batch[:0]
+		return err
 	}
 	lr := lineReader{br: br}
 	dec := newStreamDecoder()
@@ -193,55 +223,63 @@ func readLines(br *bufio.Reader, c Consumer, o StreamOptions) (StreamStats, erro
 	for {
 		line, oversize, rerr := lr.next()
 		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
+			err := flush()
+			if err == nil && !errors.Is(rerr, io.EOF) {
+				err = &PayloadError{Line: lineNo + 1, Err: rerr}
 			}
-			flushClock()
-			finishDecodeSpan(span, st)
-			return st, &PayloadError{Line: lineNo + 1, Err: rerr}
-		}
-		lineNo++
-		if oversize {
-			st.Rejected++
-			st.RejectedOversize++
-			continue
-		}
-		if len(line) == 0 {
-			continue
-		}
-		var rd Reading
-		var err error
-		if o.Decode != nil {
-			t0 := time.Now()
-			rd, err = dec.decode(line)
-			busy += time.Since(t0)
-			if lines++; lines >= decodeFlushEvery {
-				flushClock()
-			}
-		} else {
-			rd, err = dec.decode(line)
-		}
-		if err != nil {
-			st.Rejected++
-			st.RejectedDecode++
-			continue
-		}
-		rd.Trace = ctx
-		switch err := c.Submit(rd); {
-		case err == nil:
-			st.Accepted++
-			ctx = obs.SpanContext{} // one stamped reading per batch
-		case errors.Is(err, ErrDropped):
-			st.Dropped++
-		default:
-			flushClock()
 			finishDecodeSpan(span, st)
 			return st, err
 		}
+		lineNo++
+		switch {
+		case oversize:
+			st.Rejected++
+			st.RejectedOversize++
+		case len(line) > 0:
+			if o.Decode != nil {
+				if lines == 0 {
+					start = time.Now()
+				}
+				lines++
+			}
+			if rd, err := dec.decode(line); err != nil {
+				st.Rejected++
+				st.RejectedDecode++
+			} else {
+				batch = append(batch, rd)
+			}
+		}
+		if len(batch) >= lineBatch || br.Buffered() == 0 {
+			if err := flush(); err != nil {
+				finishDecodeSpan(span, st)
+				return st, err
+			}
+		}
 	}
-	flushClock()
-	finishDecodeSpan(span, st)
-	return st, nil
+}
+
+// submitBatch hands rs to c: in one SubmitBatch call when c is a
+// BatchConsumer, otherwise reading by reading with the same accounting. A
+// trace stamp on a reading c drops moves to the next reading, so it still
+// lands on an accepted one when any is.
+func submitBatch(c Consumer, rs []Reading) (accepted, dropped int, err error) {
+	if bc, ok := c.(BatchConsumer); ok {
+		return bc.SubmitBatch(rs)
+	}
+	for i := range rs {
+		switch err := c.Submit(rs[i]); {
+		case err == nil:
+			accepted++
+		case errors.Is(err, ErrDropped):
+			dropped++
+			if i+1 < len(rs) && !rs[i+1].Trace.Valid() {
+				rs[i+1].Trace = rs[i].Trace
+			}
+		default:
+			return accepted, dropped, err
+		}
+	}
+	return accepted, dropped, nil
 }
 
 func finishDecodeSpan(span *obs.Span, st StreamStats) {

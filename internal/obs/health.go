@@ -156,24 +156,24 @@ type HealthSnapshot struct {
 type HealthTracker struct {
 	cfg HealthConfig
 
-	mu             sync.Mutex
-	windows        int
-	skipped        int
-	rawRate        float64 // EWMA raw alarms per sensor-window
-	filteredRate   float64 // EWMA filtered alarms per sensor-window
-	bottomFrac     float64 // EWMA ⊥ fraction of track symbols
-	sawSymbols     bool
-	openTracks     int
-	churnSpawns    int
-	churnMerges    int
-	churnStart     int // window count when the churn window began
-	prevSpawns     int // previous churn window totals (for smooth reads)
-	prevMerges     int
-	prevWindows    int
-	drift          ModelDrift
-	driftAt        time.Time
-	spark          [sparkLen]float64
-	sparkN         int // total sparkline points written (ring position)
+	mu           sync.Mutex
+	windows      int
+	skipped      int
+	rawRate      float64 // EWMA raw alarms per sensor-window
+	filteredRate float64 // EWMA filtered alarms per sensor-window
+	bottomFrac   float64 // EWMA ⊥ fraction of track symbols
+	sawSymbols   bool
+	openTracks   int
+	churnSpawns  int
+	churnMerges  int
+	churnStart   int // window count when the churn window began
+	prevSpawns   int // previous churn window totals (for smooth reads)
+	prevMerges   int
+	prevWindows  int
+	drift        ModelDrift
+	driftAt      time.Time
+	spark        [sparkLen]float64
+	sparkN       int // total sparkline points written (ring position)
 }
 
 // NewHealthTracker builds a tracker with cfg (zero value = defaults).

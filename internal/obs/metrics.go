@@ -108,15 +108,21 @@ type Exemplar struct {
 }
 
 // Observe folds one sample into the distribution.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN folds n samples of the same value v into the distribution with
+// one bucket add — the form for a measurement taken once on behalf of n
+// items (a batch's queue wait, weighted by its readings).
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
+	h.counts[i].Add(n)
+	add := v * float64(n)
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + add)
 		if h.sumBits.CompareAndSwap(old, next) {
 			return
 		}

@@ -62,6 +62,37 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN checks a weighted observation is n observations of
+// one value: same buckets, count and sum, and n == 0 records nothing.
+func TestHistogramObserveN(t *testing.T) {
+	reg := NewRegistry()
+	weighted := reg.Histogram("weighted", "", []float64{0.01, 0.1, 1})
+	single := reg.Histogram("single", "", []float64{0.01, 0.1, 1})
+	for _, s := range []struct {
+		v float64
+		n uint64
+	}{{0.005, 3}, {0.05, 0}, {0.5, 250}, {5, 1}} {
+		weighted.ObserveN(s.v, s.n)
+		for range s.n {
+			single.Observe(s.v)
+		}
+	}
+	w, one := weighted.Snapshot(), single.Snapshot()
+	if w.Count != 254 || w.Count != one.Count {
+		t.Errorf("count = %d, want 254 (= %d single observations)", w.Count, one.Count)
+	}
+	for i := range w.Counts {
+		if w.Counts[i] != one.Counts[i] {
+			t.Errorf("bucket %d = %d, want %d", i, w.Counts[i], one.Counts[i])
+		}
+	}
+	if diff := w.Sum - one.Sum; diff > 1e-9 || diff < -1e-9 {
+		t.Errorf("sum = %v, want %v", w.Sum, one.Sum)
+	}
+	var nh *Histogram
+	nh.ObserveN(1, 5)
+}
+
 func TestRegistryKindCollisionPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
